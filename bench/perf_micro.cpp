@@ -56,7 +56,8 @@ void BM_PartitionDp(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const auto sol = solve_partition_optimal(profile, {8}, {});
         benchmark::DoNotOptimize(sol.energy.total());
@@ -73,7 +74,8 @@ void BM_PartitionGreedy(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const auto sol = solve_partition_greedy(profile, {8}, {});
         benchmark::DoNotOptimize(sol.energy.total());
@@ -84,7 +86,8 @@ BENCHMARK(BM_PartitionGreedy)->Arg(1024)->Arg(4096);
 void BM_FrequencyClustering(benchmark::State& state) {
     const MemTrace trace = uniform_trace({.span_bytes = 256 * 1024, .num_accesses = 100000,
                                           .write_fraction = 0.3, .seed = 2});
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const AddressMap map = frequency_clustering(profile);
         benchmark::DoNotOptimize(map.num_blocks());
@@ -151,9 +154,9 @@ void BM_CoherentReplay(benchmark::State& state) {
 BENCHMARK(BM_CoherentReplay);
 
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
-// affinity over the SoA columns (sharded when the trace is long enough),
-// the fused profile+affinity builder, and the incremental greedy affinity
-// chain. Arg is the block count, which also decides dense vs CSR storage.
+// affinity over the SoA columns (sharded when the trace is long enough) and
+// the incremental greedy affinity chain. Arg is the block count, which also
+// decides dense vs CSR storage.
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({
@@ -163,10 +166,11 @@ void BM_WindowedAffinity(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     std::uint64_t accesses = 0;
     for (auto _ : state) {
-        const AffinityMatrix aff = windowed_affinity(trace, profile, 8);
+        const AffinityMatrix aff = windowed_affinity(source, profile, 8);
         accesses += trace.size();
         benchmark::DoNotOptimize(aff.total());
     }
@@ -174,23 +178,6 @@ void BM_WindowedAffinity(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WindowedAffinity)->Arg(512)->Arg(4096);
-
-void BM_ProfileAndAffinity(benchmark::State& state) {
-    const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
-        .base = {.span_bytes = blocks * 256, .num_accesses = 200000, .write_fraction = 0.3,
-                 .seed = 5},
-        .num_hotspots = 8,
-        .hotspot_bytes = 1024,
-        .hot_fraction = 0.9,
-    });
-    for (auto _ : state) {
-        const ProfileAffinity pa = build_profile_and_affinity(trace, 256, 8);
-        benchmark::DoNotOptimize(pa.affinity.total());
-        benchmark::DoNotOptimize(pa.profile.total_accesses());
-    }
-}
-BENCHMARK(BM_ProfileAndAffinity)->Arg(512)->Arg(4096);
 
 void BM_AffinityClustering(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
@@ -201,17 +188,19 @@ void BM_AffinityClustering(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const ProfileAffinity pa = build_profile_and_affinity(trace, 256, 8);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
+    const AffinityMatrix affinity = windowed_affinity(source, profile, 8);
     for (auto _ : state) {
-        const AddressMap map = affinity_clustering(pa.profile, pa.affinity);
+        const AddressMap map = affinity_clustering(profile, affinity);
         benchmark::DoNotOptimize(map.num_blocks());
     }
 }
 BENCHMARK(BM_AffinityClustering)->Arg(512)->Arg(4096);
 
 // Streaming-pipeline paths: the chunked replay driver feeding the profile
-// builder from a generator source (no materialized trace), the fused
-// streamed profile+affinity build, and the mmap zero-copy container read.
+// builder from a generator source (no materialized trace), and the mmap
+// zero-copy container read.
 void BM_StreamReplay(benchmark::State& state) {
     const SyntheticSpec spec = parse_synthetic_spec(
         "hotspot,span=1048576,n=400000,seed=5,write=0.3,hotspots=8,"
@@ -227,19 +216,6 @@ void BM_StreamReplay(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_StreamReplay);
-
-void BM_StreamProfileAndAffinity(benchmark::State& state) {
-    const SyntheticSpec spec = parse_synthetic_spec(
-        "hotspot,span=1048576,n=200000,seed=5,write=0.3,hotspots=8,"
-        "hotspot-bytes=1024,hot-frac=0.9");
-    for (auto _ : state) {
-        SyntheticSource source(spec);
-        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
-        benchmark::DoNotOptimize(pa.affinity.total());
-        benchmark::DoNotOptimize(pa.profile.total_accesses());
-    }
-}
-BENCHMARK(BM_StreamProfileAndAffinity);
 
 void BM_MmapRead(benchmark::State& state) {
     const std::string path =
@@ -284,8 +260,9 @@ void BM_FullFlow(benchmark::State& state) {
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
+    MaterializedSource source(run.data_trace);
     for (auto _ : state) {
-        const FlowComparison cmp = flow.compare(run.data_trace, ClusterMethod::Frequency);
+        const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
         benchmark::DoNotOptimize(cmp.clustering_savings_pct());
     }
 }

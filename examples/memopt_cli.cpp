@@ -9,9 +9,9 @@
 //   memopt_cli trace <source> <out-file>          (.mtsc = stream container,
 //                        .mtrc = binary, else text; `source` is a kernel, a
 //                        trace file, or "synthetic:<kind>[,k=v]...")
-//   memopt_cli partition <kernel|trace-file> [--banks N] [--block BYTES]
-//                        [--cluster none|frequency|affinity]
-//                        [--trace-stream SPEC] [--chunk-size N]
+//   memopt_cli partition <source> [--banks N] [--block BYTES]
+//                        [--cluster none|frequency|affinity] [--chunk-size N]
+//                        (`--trace-stream SPEC` is a synonym for <source>)
 //   memopt_cli compress <kernel> [--platform vliw|risc]
 //                        [--codec diff|zero-run|bdi|dictionary]
 //   memopt_cli encode <kernel> [--gates N]
@@ -31,10 +31,11 @@
 // threads of the parallel runtime (equivalent to MEMOPT_JOBS=N; jobs=1 is
 // fully serial). Results are bit-identical at any job count.
 //
-// `partition --trace-stream SPEC` replays a chunked trace stream (a
-// synthetic: spec, an .mtsc/.mtrc file, or a kernel) without materializing
-// it — out-of-core traces run in O(chunk) memory and the report is
-// bit-identical to the materialized run at any --jobs.
+// `partition <source>` (or `partition --trace-stream <source>`) replays a
+// chunked trace stream — a synthetic: spec, an .mtsc (mmapped) or .mtrc
+// file, a text trace, or a kernel — without materializing it where the
+// format allows: out-of-core traces run in O(chunk) memory and the report
+// is bit-identical at any --jobs and any --chunk-size.
 //
 // `run`, `partition`, `compress`, `encode` and `study` also accept
 // `--json FILE`: the command's results are exported as one
@@ -199,9 +200,11 @@ int usage() {
               "  trace <source> <file>                  dump a data trace; source is a\n"
               "        [--trace-format mtsc|bin|text]   kernel, a trace file, or\n"
               "        [--chunk-size N] [--compress 1]  synthetic:<kind>[,k=v]...\n"
-              "  partition <kernel|file> [--banks N] [--block BYTES]\n"
+              "  partition <source> [--banks N] [--block BYTES]\n"
               "            [--cluster none|frequency|affinity]\n"
-              "            [--trace-stream SPEC] [--chunk-size N]\n"
+              "            [--chunk-size N]                  source as for trace (.mtsc\n"
+              "                                              is mmapped); --trace-stream\n"
+              "                                              SPEC is a synonym\n"
               "            [--bank-pool SPEC]                hybrid pool, e.g.\n"
               "                                              sram=2,sttmram=6 (techs: sram,\n"
               "                                              edram, sttmram, drowsy)\n"
@@ -242,15 +245,6 @@ int usage() {
               "  3 interrupted by --deadline-sec or SIGINT/SIGTERM (partial results\n"
               "    checkpointed; rerun with --resume)");
     return 1;
-}
-
-MemTrace trace_of(const std::string& source) {
-    // A kernel name, or a trace file path for anything containing a dot/slash.
-    if (source.size() >= 5 && source.compare(source.size() - 5, 5, ".mtsc") == 0)
-        return read_trace_stream(source);
-    if (source.find('.') != std::string::npos || source.find('/') != std::string::npos)
-        return load_trace(source);
-    return WorkloadRepository::instance().run(source)->result.data_trace;
 }
 
 int cmd_kernels() {
@@ -427,9 +421,14 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_partition(const Args& args, JsonWriter* jw) {
-    const std::string stream_spec = args.get("trace-stream", "");
-    usage_require(!args.positional.empty() || !stream_spec.empty(),
+    // The positional spec and --trace-stream are synonyms; either way the
+    // trace is opened as a chunked stream (.mtsc files are mmapped).
+    const std::string spec =
+        args.positional.empty() ? args.get("trace-stream", "") : args.positional[0];
+    usage_require(!spec.empty(),
                   "partition: missing kernel or trace file (or --trace-stream SPEC)");
+    const std::int64_t chunk = args.get_int("chunk-size", 0);
+    usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
 
     FlowParams fp;
     fp.block_size = static_cast<std::uint64_t>(args.get_int("block", 256));
@@ -444,16 +443,14 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     else throw UsageError("partition: unknown clustering method '" + method_name + "'");
 
     const std::string pool_spec = args.get("bank-pool", "");
+    BankPool pool;
+    HybridGatingParams gating;
     if (!pool_spec.empty()) {
-        // Hybrid pool path: keeps the legacy (no --bank-pool) report
-        // byte-identical by never touching the branches below.
-        BankPool pool;
         try {
             pool = BankPool::parse(pool_spec);
         } catch (const Error& e) {
             throw UsageError(std::string("partition: ") + e.what());
         }
-        HybridGatingParams gating;
         const std::int64_t idle = args.get_int("gate-idle", 200);
         usage_require(idle >= 0, "partition: --gate-idle expects a non-negative count");
         gating.enabled = idle > 0;
@@ -461,18 +458,14 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         gating.gate_leak_scale = args.get_double("gate-leak-scale", 1.0);
         usage_require(gating.gate_leak_scale >= 0.0,
                       "partition: --gate-leak-scale expects a non-negative factor");
+    }
+    const std::unique_ptr<TraceSource> source =
+        WorkloadRepository::instance().open_trace_source(spec, static_cast<std::size_t>(chunk));
 
-        HybridFlowResult result;
-        if (!stream_spec.empty()) {
-            const std::int64_t chunk = args.get_int("chunk-size", 0);
-            usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-            const std::unique_ptr<TraceSource> source =
-                WorkloadRepository::instance().open_trace_source(
-                    stream_spec, static_cast<std::size_t>(chunk));
-            result = flow.run_hybrid(*source, method, pool, gating);
-        } else {
-            result = flow.run_hybrid(trace_of(args.positional[0]), method, pool, gating);
-        }
+    if (!pool_spec.empty()) {
+        // Hybrid pool path: keeps the legacy (no --bank-pool) report
+        // byte-identical by never touching the branches below.
+        const HybridFlowResult result = flow.run_hybrid(*source, method, pool, gating);
         result.report.energy.print(std::cout, "hybrid energy (" + pool.to_string() + "):");
         std::printf("banks: %zu   wakeups: %llu\n", result.base.solution.arch.num_banks(),
                     static_cast<unsigned long long>(result.report.total_wakeups()));
@@ -493,33 +486,13 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         return 0;
     }
     if (method == ClusterMethod::None) {
-        FlowResult result;
-        if (!stream_spec.empty()) {
-            const std::int64_t chunk = args.get_int("chunk-size", 0);
-            usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-            const std::unique_ptr<TraceSource> source =
-                WorkloadRepository::instance().open_trace_source(
-                    stream_spec, static_cast<std::size_t>(chunk));
-            result = flow.run(*source, method);
-        } else {
-            result = flow.run(trace_of(args.positional[0]), method);
-        }
+        const FlowResult result = flow.run(*source, method);
         result.energy.print(std::cout, "partitioned energy:");
         std::printf("banks: %zu\n", result.solution.arch.num_banks());
         if (jw != nullptr) to_json(*jw, result);
         return 0;
     }
-    FlowComparison cmp;
-    if (!stream_spec.empty()) {
-        const std::int64_t chunk = args.get_int("chunk-size", 0);
-        usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-        const std::unique_ptr<TraceSource> source =
-            WorkloadRepository::instance().open_trace_source(
-                stream_spec, static_cast<std::size_t>(chunk));
-        cmp = flow.compare(*source, method);
-    } else {
-        cmp = flow.compare(trace_of(args.positional[0]), method);
-    }
+    const FlowComparison cmp = flow.compare(*source, method);
     if (jw != nullptr) to_json(*jw, cmp);
     energy_comparison_table({
                                 {"monolithic", cmp.monolithic},
@@ -559,10 +532,11 @@ int cmd_compress(const Args& args, JsonWriter* jw) {
     else if (codec_name == "dictionary") codec = &dict;
     else throw UsageError("compress: unknown codec '" + codec_name + "'");
 
+    MaterializedSource source(run.data_trace);
     const auto base = CompressedMemorySim(platform.config, nullptr)
-                          .run(run.data_trace, program.data, program.data_base);
+                          .run(source, program.data, program.data_base);
     const auto comp = CompressedMemorySim(platform.config, codec)
-                          .run(run.data_trace, program.data, program.data_base);
+                          .run(source, program.data, program.data_base);
     base.energy.print(std::cout, "uncompressed:");
     comp.energy.print(std::cout, "\nwith " + codec_name + " codec:");
     std::printf("\ntraffic ratio: %.3f   total savings: %.1f%%\n", comp.traffic_ratio(),
@@ -658,10 +632,10 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     if (drowsy > 0.0) {
         FlowParams fp;
         fp.constraints.max_banks = 4;
-        const FlowResult fr =
-            MemoryOptimizationFlow(fp).run(run.data_trace, ClusterMethod::Frequency);
-        const SleepReport sleep = evaluate_partition_sleepy(
-            fr.solution.arch, fr.map, run.data_trace, fp.energy, SleepParams{});
+        MaterializedSource source(run.data_trace);
+        const FlowResult fr = MemoryOptimizationFlow(fp).run(source, ClusterMethod::Frequency);
+        const SleepReport sleep = evaluate_partition_sleepy(fr.solution.arch, fr.map, source,
+                                                            fp.energy, SleepParams{});
         probs = sleepy_line_probabilities(fr.solution.arch, fr.map, sleep,
                                           config.bit_flip_rate, drowsy, program.data_base,
                                           corpus.size(), config.line_bytes, run.cycles);

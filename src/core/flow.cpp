@@ -1,7 +1,5 @@
 #include "core/flow.hpp"
 
-#include <optional>
-
 #include "cluster/frequency.hpp"
 #include "cluster/heat.hpp"
 #include "support/assert.hpp"
@@ -20,6 +18,10 @@ namespace {
 // never influences results.
 MetricTimer& profile_timer() {
     static MetricTimer& t = MetricsRegistry::instance().timer("flow.profile");
+    return t;
+}
+MetricTimer& affinity_timer() {
+    static MetricTimer& t = MetricsRegistry::instance().timer("flow.affinity");
     return t;
 }
 MetricTimer& cluster_timer() {
@@ -52,48 +54,30 @@ MemoryOptimizationFlow::MemoryOptimizationFlow(const FlowParams& params) : param
     require(params.affinity_window >= 2, "FlowParams: affinity_window must be >= 2");
 }
 
-FlowResult MemoryOptimizationFlow::run(const MemTrace& trace, ClusterMethod method) const {
-    if (method == ClusterMethod::Affinity) {
-        // Fused path: the profile and the windowed affinity come out of one
-        // streaming replay of the trace (bit-identical to the two-pass
-        // build, roughly half the replay cost).
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(trace, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_prepared(pa.profile, method, &trace, &pa.affinity);
-    }
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_trace(trace, params_.block_size);
-    }();
-    return run(profile, method, &trace);
+BlockProfile MemoryOptimizationFlow::profile_of(TraceSource& source) const {
+    const ScopedTimer scope(profile_timer());
+    return BlockProfile::from_source(source, params_.block_size);
+}
+
+std::optional<AffinityMatrix> MemoryOptimizationFlow::affinity_of(
+    TraceSource& source, const BlockProfile& profile, ClusterMethod method) const {
+    if (method != ClusterMethod::Affinity) return std::nullopt;
+    const ScopedTimer scope(affinity_timer());
+    return windowed_affinity(source, profile, params_.affinity_window);
 }
 
 FlowResult MemoryOptimizationFlow::run(TraceSource& source, ClusterMethod method) const {
-    if (method == ClusterMethod::Affinity) {
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(source, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_prepared(pa.profile, method, nullptr, &pa.affinity);
-    }
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
-    }();
-    return run_prepared(profile, method, nullptr, nullptr);
+    const BlockProfile profile = profile_of(source);
+    const std::optional<AffinityMatrix> affinity = affinity_of(source, profile, method);
+    return run_prepared(profile, method, affinity ? &*affinity : nullptr);
 }
 
-FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method,
-                                       const MemTrace* trace) const {
-    return run_prepared(profile, method, trace, nullptr);
+FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method) const {
+    return run_prepared(profile, method, nullptr);
 }
 
 FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
-                                                ClusterMethod method, const MemTrace* trace,
+                                                ClusterMethod method,
                                                 const AffinityMatrix* affinity,
                                                 std::size_t pool_banks) const {
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.runs");
@@ -108,18 +92,11 @@ FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
             case ClusterMethod::Frequency:
                 map = frequency_clustering(profile);
                 break;
-            case ClusterMethod::Affinity: {
-                if (affinity != nullptr) {
-                    map = affinity_clustering(profile, *affinity, params_.affinity);
-                    break;
-                }
-                require(trace != nullptr,
+            case ClusterMethod::Affinity:
+                require(affinity != nullptr,
                         "affinity clustering requires the trace, not just the profile");
-                const AffinityMatrix built =
-                    windowed_affinity(*trace, profile, params_.affinity_window);
-                map = affinity_clustering(profile, built, params_.affinity);
+                map = affinity_clustering(profile, *affinity, params_.affinity);
                 break;
-            }
         }
     }
 
@@ -150,39 +127,17 @@ FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
     return result;
 }
 
-HybridFlowResult MemoryOptimizationFlow::run_hybrid(const MemTrace& trace,
-                                                    ClusterMethod method, const BankPool& pool,
-                                                    const HybridGatingParams& gating) const {
-    MaterializedSource source(trace);
-    return run_hybrid(source, method, pool, gating);
-}
-
 HybridFlowResult MemoryOptimizationFlow::run_hybrid(TraceSource& source, ClusterMethod method,
                                                     const BankPool& pool,
                                                     const HybridGatingParams& gating) const {
     require(pool.num_slots() > 0, "run_hybrid: empty bank pool");
-    if (method == ClusterMethod::Affinity) {
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(source, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_hybrid_prepared(pa.profile, method, &pa.affinity, source, pool, gating);
-    }
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
-    }();
-    return run_hybrid_prepared(profile, method, nullptr, source, pool, gating);
-}
-
-HybridFlowResult MemoryOptimizationFlow::run_hybrid_prepared(
-    const BlockProfile& profile, ClusterMethod method, const AffinityMatrix* affinity,
-    TraceSource& source, const BankPool& pool, const HybridGatingParams& gating) const {
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.hybrid_runs");
     runs.add();
 
-    FlowResult base = run_prepared(profile, method, nullptr, affinity, pool.total_banks());
+    const BlockProfile profile = profile_of(source);
+    const std::optional<AffinityMatrix> affinity = affinity_of(source, profile, method);
+    FlowResult base =
+        run_prepared(profile, method, affinity ? &*affinity : nullptr, pool.total_banks());
 
     // The remap-table per-access overhead enters the hybrid evaluation the
     // same way it enters the legacy one (constant per access, added at
@@ -208,52 +163,21 @@ HybridFlowResult MemoryOptimizationFlow::run_hybrid_prepared(
     return HybridFlowResult{std::move(base), pool, std::move(techs), rank, std::move(report)};
 }
 
-FlowComparison MemoryOptimizationFlow::compare(const MemTrace& trace,
-                                               ClusterMethod method) const {
-    require(method != ClusterMethod::None, "compare: pick a real clustering method");
-    static MetricCounter& compares = MetricsRegistry::instance().counter("flow.compares");
-    compares.add();
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_trace(trace, params_.block_size);
-    }();
-    EnergyBreakdown monolithic = [&] {
-        const ScopedTimer scope(evaluate_timer());
-        return evaluate_monolithic(profile, params_.energy);
-    }();
-    FlowComparison cmp{
-        std::move(monolithic),
-        run(profile, ClusterMethod::None, &trace),
-        run(profile, method, &trace),
-    };
-    return cmp;
-}
-
 FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
                                                ClusterMethod method) const {
     require(method != ClusterMethod::None, "compare: pick a real clustering method");
     static MetricCounter& compares = MetricsRegistry::instance().counter("flow.compares");
     compares.add();
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
-    }();
+    const BlockProfile profile = profile_of(source);
     EnergyBreakdown monolithic = [&] {
         const ScopedTimer scope(evaluate_timer());
         return evaluate_monolithic(profile, params_.energy);
     }();
-    // Affinity needs the trace a second time; re-replay the source instead
-    // of materializing. The builder is the same one the MemTrace path uses,
-    // so the comparison stays bit-identical to compare() on the trace.
-    std::optional<AffinityMatrix> built;
-    if (method == ClusterMethod::Affinity) {
-        const ScopedTimer scope(cluster_timer());
-        built.emplace(windowed_affinity(source, profile, params_.affinity_window));
-    }
+    const std::optional<AffinityMatrix> affinity = affinity_of(source, profile, method);
     FlowComparison cmp{
         std::move(monolithic),
-        run_prepared(profile, ClusterMethod::None, nullptr, nullptr),
-        run_prepared(profile, method, nullptr, built ? &*built : nullptr),
+        run_prepared(profile, ClusterMethod::None, nullptr),
+        run_prepared(profile, method, affinity ? &*affinity : nullptr),
     };
     return cmp;
 }
@@ -267,13 +191,12 @@ std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(
     // runtime preserves input order, so the batch is bit-identical to the
     // serial loop at every job count.
     return parallel_map(
-        traces, [&](const MemTrace* trace) { return compare(*trace, method); }, jobs);
-}
-
-std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(
-    std::span<const MemTrace> traces, ClusterMethod method, std::size_t jobs) const {
-    return parallel_map(
-        traces, [&](const MemTrace& trace) { return compare(trace, method); }, jobs);
+        traces,
+        [&](const MemTrace* trace) {
+            MaterializedSource source(*trace);
+            return compare(source, method);
+        },
+        jobs);
 }
 
 double FlowComparison::clustering_savings_pct() const {

@@ -283,12 +283,6 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
 // ---------------------------------------------------------------------------
 // Builders
 
-AffinityMatrix transition_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                   std::size_t jobs) {
-    MaterializedSource source(trace);
-    return transition_affinity(source, profile, jobs);
-}
-
 AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
                                    std::size_t jobs) {
     const unsigned shift = log2_exact(profile.block_size());
@@ -301,12 +295,6 @@ AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& prof
         },
         [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
     return acc.finalize();
-}
-
-AffinityMatrix windowed_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                 std::size_t window, std::size_t jobs) {
-    MaterializedSource source(trace);
-    return windowed_affinity(source, profile, window, jobs);
 }
 
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
@@ -322,78 +310,6 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
         },
         [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
     return acc.finalize();
-}
-
-ProfileAffinity build_profile_and_affinity(const MemTrace& trace, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs) {
-    MaterializedSource source(trace);
-    return build_profile_and_affinity(source, block_size, window, jobs);
-}
-
-ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs) {
-    require(is_pow2(block_size), "build_profile_and_affinity: block_size must be a power of two");
-    require(window >= 2, "build_profile_and_affinity: window must be >= 2");
-    const TraceSummary& sum = source.summary();
-    require(sum.accesses > 0, "build_profile_and_affinity: empty trace");
-
-    const std::uint64_t span = std::max<std::uint64_t>(sum.span_pow2(), block_size);
-    const auto num_blocks = static_cast<std::size_t>(span / block_size);
-    const unsigned shift = log2_exact(block_size);
-
-    // One fused chunked pass: block counts and window pairs together, so
-    // the trace's addr column is streamed once instead of twice. All sums
-    // are integer-valued and reduced in task order — bit-identical at any
-    // job count and to the unfused builders.
-    struct Shard {
-        std::vector<std::uint64_t> reads;
-        std::vector<std::uint64_t> writes;
-        AffinityAccumulator acc;
-    };
-    Shard merged = stream_accumulate(
-        source, window - 1, jobs,
-        [&] {
-            return Shard{std::vector<std::uint64_t>(num_blocks, 0),
-                         std::vector<std::uint64_t>(num_blocks, 0),
-                         AffinityAccumulator(num_blocks)};
-        },
-        [&](Shard& shard, const TraceChunk& chunk, std::span<const std::uint64_t> context) {
-            const std::size_t cap = window - 1;
-            std::vector<std::size_t> ring(cap);
-            std::size_t count = 0;
-            std::size_t next = 0;
-            auto push = [&](std::size_t block) {
-                ring[next] = block;
-                next = (next + 1) % cap;
-                if (count < cap) ++count;
-            };
-            const std::size_t skip = context.size() > cap ? context.size() - cap : 0;
-            for (std::size_t i = skip; i < context.size(); ++i)
-                push(block_of_checked(context[i], shift, num_blocks));
-            for (std::size_t i = 0; i < chunk.size(); ++i) {
-                const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-                if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
-                else ++shard.writes[block];
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (ring[k] != block) shard.acc.add(ring[k], block, 1.0);
-                }
-                push(block);
-            }
-        },
-        [&](Shard& into, const Shard& from) {
-            for (std::size_t b = 0; b < num_blocks; ++b) {
-                into.reads[b] += from.reads[b];
-                into.writes[b] += from.writes[b];
-            }
-            into.acc.merge(from.acc);
-        });
-
-    BlockProfile profile(block_size, num_blocks);
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-        if (merged.reads[b] != 0 || merged.writes[b] != 0)
-            profile.add_counts(b, merged.reads[b], merged.writes[b]);
-    }
-    return ProfileAffinity{std::move(profile), merged.acc.finalize()};
 }
 
 }  // namespace memopt

@@ -50,8 +50,9 @@ MaterializedSource::MaterializedSource(std::shared_ptr<const MemTrace> trace,
 }
 
 void MaterializedSource::seed_summary() {
+    size_ = trace_->size();
     TraceSummary s;
-    s.accesses = trace_->size();
+    s.accesses = size_;
     s.reads = trace_->read_count();
     s.writes = trace_->write_count();
     if (!trace_->empty()) {
@@ -62,11 +63,12 @@ void MaterializedSource::seed_summary() {
 }
 
 bool MaterializedSource::next(TraceChunk& chunk) {
-    const std::uint64_t n = trace_->size();
+    const std::uint64_t n = size_;
     if (pos_ >= n) {
         chunk = TraceChunk{};
         return false;
     }
+    require(trace_->size() >= n, "MaterializedSource: trace shrank below its snapshot");
     const auto begin = static_cast<std::size_t>(pos_);
     const std::size_t count = static_cast<std::size_t>(
         std::min<std::uint64_t>(chunk_, n - pos_));

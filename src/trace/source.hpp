@@ -192,6 +192,12 @@ private:
 /// Zero-copy source over an in-memory MemTrace: chunks are subspans of the
 /// trace's columns (stable for the source's lifetime), and the summary is
 /// seeded from the trace's own counters — no extra pass, no extra memory.
+///
+/// The summary and the access count are snapshotted at construction:
+/// size() and next() serve exactly the accesses the trace held then, so
+/// accesses appended afterwards are never delivered (they may lie outside
+/// the summary's address range). If the trace has since shrunk below the
+/// snapshot, next() throws Error.
 class MaterializedSource final : public TraceSource {
 public:
     /// Non-owning view; `trace` must outlive the source.
@@ -203,7 +209,7 @@ public:
     explicit MaterializedSource(std::shared_ptr<const MemTrace> trace,
                                 std::size_t chunk_accesses = kDefaultTraceChunk);
 
-    std::uint64_t size() const override { return trace_->size(); }
+    std::uint64_t size() const override { return size_; }
     bool stable_chunks() const override { return true; }
     bool next(TraceChunk& chunk) override;
     void reset() override { pos_ = 0; }
@@ -214,6 +220,7 @@ private:
     std::shared_ptr<const MemTrace> owned_;  ///< may be null (non-owning ctor)
     const MemTrace* trace_;
     std::size_t chunk_;
+    std::uint64_t size_ = 0;  ///< access count pinned at construction
     std::uint64_t pos_ = 0;
 };
 

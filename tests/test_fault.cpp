@@ -9,6 +9,7 @@
 #include "fault/inject.hpp"
 #include "fault/protect.hpp"
 #include "support/rng.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -319,7 +320,8 @@ TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
     config.protection = ProtectionScheme::Secded;
     config.faults = MemFaultParams{0.002, 8};
 
-    const CompressedMemReport a = CompressedMemorySim(config, &diff).run(trace, image, 0);
+    MaterializedSource source(trace);
+    const CompressedMemReport a = CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_GT(a.faults_injected, 0u);
     EXPECT_GT(a.corrected_faults, 0u);
     EXPECT_GT(a.degraded_refills, 0u);
@@ -328,7 +330,7 @@ TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
     // SECDED flags every detected line: nothing slips through silently at
     // this flip rate's double-bit-per-word scale, and what does slip is
     // counted, never delivered as if clean.
-    const CompressedMemReport b = CompressedMemorySim(config, &diff).run(trace, image, 0);
+    const CompressedMemReport b = CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_EQ(a.faults_injected, b.faults_injected);
     EXPECT_EQ(a.corrected_faults, b.corrected_faults);
     EXPECT_EQ(a.degraded_refills, b.degraded_refills);
@@ -349,8 +351,9 @@ TEST(MemsysFaults, UnprotectedFaultsSlipThroughOrRejected) {
     CompressedMemConfig config = vliw_platform().config;
     config.faults = MemFaultParams{0.004, 8};  // protection stays None
 
+    MaterializedSource source(trace);
     const CompressedMemReport report =
-        CompressedMemorySim(config, &diff).run(trace, image, 0);
+        CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_GT(report.faults_injected, 0u);
     EXPECT_EQ(report.corrected_faults, 0u);
     // Without ECC every corrupted line either decodes to garbage (silent)

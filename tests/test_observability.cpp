@@ -16,6 +16,7 @@
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -171,6 +172,7 @@ TEST(Metrics, InstrumentationNeverChangesFlowResults) {
     // The observability contract: running with metrics reset vs accumulated
     // state yields byte-identical serialized results.
     const MemTrace trace = make_hot_trace(3);
+    MaterializedSource source(trace);
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
@@ -178,7 +180,7 @@ TEST(Metrics, InstrumentationNeverChangesFlowResults) {
     const auto serialize = [&] {
         std::stringstream ss;
         JsonWriter w(ss);
-        const FlowComparison cmp = flow.compare(trace, ClusterMethod::Frequency);
+        const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
         to_json(w, cmp);
         return ss.str();
     };
@@ -188,11 +190,39 @@ TEST(Metrics, InstrumentationNeverChangesFlowResults) {
     EXPECT_EQ(first, second);
 }
 
+TEST(Metrics, AffinityBuildIsTimedOncePerFlowCall) {
+    // The windowed-affinity build has its own timer, shared by run(),
+    // run_hybrid() and compare(): one tick per Affinity call (next to one
+    // flow.profile tick), none for Frequency.
+    const MemTrace trace = make_hot_trace(5);
+    MaterializedSource source(trace);
+    FlowParams fp;
+    fp.constraints.max_banks = 4;
+    const MemoryOptimizationFlow flow(fp);
+    const MetricTimer& affinity = MetricsRegistry::instance().timer("flow.affinity");
+    const MetricTimer& profile = MetricsRegistry::instance().timer("flow.profile");
+
+    const auto expect_ticks = [&](const auto& call, std::uint64_t affinity_ticks) {
+        const std::uint64_t affinity_before = affinity.count();
+        const std::uint64_t profile_before = profile.count();
+        call();
+        EXPECT_EQ(affinity.count() - affinity_before, affinity_ticks);
+        EXPECT_EQ(profile.count() - profile_before, 1u);
+    };
+    expect_ticks([&] { flow.run(source, ClusterMethod::Affinity); }, 1);
+    expect_ticks(
+        [&] { flow.run_hybrid(source, ClusterMethod::Affinity, BankPool::parse("sram=4")); }, 1);
+    expect_ticks([&] { flow.compare(source, ClusterMethod::Affinity); }, 1);
+    expect_ticks([&] { flow.compare(source, ClusterMethod::Frequency); }, 0);
+}
+
 // -------------------------------------------------------------- Serializers
 
 TEST(Serializers, FlowComparisonSchemaAndJobInvariance) {
     std::vector<MemTrace> traces;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) traces.push_back(make_hot_trace(seed));
+    std::vector<const MemTrace*> trace_ptrs;
+    for (const MemTrace& trace : traces) trace_ptrs.push_back(&trace);
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
@@ -202,8 +232,7 @@ TEST(Serializers, FlowComparisonSchemaAndJobInvariance) {
         JsonWriter w(ss);
         w.begin_array();
         for (const FlowComparison& cmp :
-             flow.compare_all(std::span<const MemTrace>(traces), ClusterMethod::Frequency,
-                              jobs))
+             flow.compare_all(trace_ptrs, ClusterMethod::Frequency, jobs))
             to_json(w, cmp);
         w.end_array();
         return ss.str();

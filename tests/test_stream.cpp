@@ -17,6 +17,7 @@
 #include "core/workload.hpp"
 #include "partition/sleep.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "trace/affinity.hpp"
 #include "trace/io.hpp"
 #include "trace/profile.hpp"
@@ -143,6 +144,26 @@ TEST(MaterializedSourceTest, SummarySeededFromTraceCounters) {
     EXPECT_EQ(sum.span_pow2(), trace.address_span_pow2());
 }
 
+TEST(MaterializedSourceTest, ServesOnlyTheSnapshotTakenAtConstruction) {
+    MemTrace trace;
+    trace.add_read(0);
+    MaterializedSource source(trace);
+    // Appended after wrapping, and far outside the summary's address range:
+    // never delivered, so profile geometry and replay agree.
+    trace.add_read(1 << 20);
+    EXPECT_EQ(source.size(), 1u);
+    const BlockProfile profile = BlockProfile::from_source(source, 256, 1);
+    EXPECT_EQ(profile.num_blocks(), 1u);
+    EXPECT_EQ(profile.total_accesses(), 1u);
+    EXPECT_EQ(drain(source).size(), 1u);
+
+    // Shrinking below the snapshot leaves nothing valid to serve.
+    trace.clear();
+    source.reset();
+    TraceChunk chunk;
+    EXPECT_THROW(source.next(chunk), Error);
+}
+
 TEST(MaterializedSourceTest, ZeroChunkSizeThrows) {
     const MemTrace trace = mixed_trace(10);
     EXPECT_THROW(MaterializedSource(trace, 0), Error);
@@ -184,7 +205,8 @@ TEST(StreamEquivalenceTest, ProfileMatchesAtAnyJobCount) {
     // Big enough that the parallel replay actually shards (> 2 * 64Ki).
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=65536,n=200000,seed=2");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile expected = BlockProfile::from_trace(trace, 256, 1);
+    MaterializedSource reference(trace);
+    const BlockProfile expected = BlockProfile::from_source(reference, 256, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
         expect_profiles_equal(BlockProfile::from_source(source, 256, jobs), expected);
@@ -197,9 +219,10 @@ TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
     const SyntheticSpec spec =
         parse_synthetic_spec("two-phase,span=32768,n=200000,seed=13");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256, 1);
-    const AffinityMatrix t_expected = transition_affinity(trace, profile, 1);
-    const AffinityMatrix w_expected = windowed_affinity(trace, profile, 16, 1);
+    MaterializedSource reference(trace);
+    const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
+    const AffinityMatrix t_expected = transition_affinity(reference, profile, 1);
+    const AffinityMatrix w_expected = windowed_affinity(reference, profile, 16, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
         expect_matrices_equal(transition_affinity(source, profile, jobs), t_expected);
@@ -211,37 +234,24 @@ TEST(StreamEquivalenceTest, SparseAffinityMatchesOnLargeSpans) {
     // > 1024 blocks at 256 B forces the CSR representation.
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=1048576,n=150000,seed=21");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256, 1);
+    MaterializedSource reference(trace);
+    const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
     ASSERT_GT(profile.num_blocks(), kAffinityDenseMaxBlocks);
-    const AffinityMatrix expected = windowed_affinity(trace, profile, 8, 1);
+    const AffinityMatrix expected = windowed_affinity(reference, profile, 8, 1);
     ASSERT_TRUE(expected.is_sparse());
     SyntheticSource source(spec, 10000);
     expect_matrices_equal(windowed_affinity(source, profile, 8, 8), expected);
-}
-
-TEST(StreamEquivalenceTest, FusedBuilderMatchesTwoPass) {
-    const SyntheticSpec spec =
-        parse_synthetic_spec("hotspot,span=32768,n=200000,seed=5,hotspots=4,"
-                             "hotspot-bytes=1024,hot-frac=0.8");
-    const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile p_expected = BlockProfile::from_trace(trace, 256, 1);
-    const AffinityMatrix a_expected = windowed_affinity(trace, p_expected, 32, 1);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        SyntheticSource source(spec, 10000);
-        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 32, jobs);
-        expect_profiles_equal(pa.profile, p_expected);
-        expect_matrices_equal(pa.affinity, a_expected);
-    }
 }
 
 // ----------------------------------------------- replay-engine equality ----
 
 TEST(StreamEquivalenceTest, SleepReplayMatches) {
     const MemTrace trace = mixed_trace(50000);
+    MaterializedSource reference(trace);
     FlowParams fp;
     fp.constraints.max_banks = 4;
-    const FlowResult fr = MemoryOptimizationFlow(fp).run(trace, ClusterMethod::Frequency);
-    const SleepReport expected = evaluate_partition_sleepy(fr.solution.arch, fr.map, trace,
+    const FlowResult fr = MemoryOptimizationFlow(fp).run(reference, ClusterMethod::Frequency);
+    const SleepReport expected = evaluate_partition_sleepy(fr.solution.arch, fr.map, reference,
                                                            fp.energy, SleepParams{});
     MaterializedSource source(trace, 4096);
     const SleepReport streamed = evaluate_partition_sleepy(fr.solution.arch, fr.map, source,
@@ -261,8 +271,9 @@ TEST(StreamEquivalenceTest, CompressedMemoryReplayMatches) {
     CompressedMemConfig config;
     config.cache.size_bytes = 1024;
     config.cache.line_bytes = 32;
+    MaterializedSource reference(trace);
     const CompressedMemReport expected =
-        CompressedMemorySim(config, &codec).run(trace, {}, 0);
+        CompressedMemorySim(config, &codec).run(reference, {}, 0);
     MaterializedSource source(trace, 4096);
     const CompressedMemReport streamed =
         CompressedMemorySim(config, &codec).run(source, {}, 0);
@@ -281,7 +292,8 @@ TEST(StreamEquivalenceTest, CacheHierarchyReplayMatches) {
     l2.size_bytes = 4096;
     l2.line_bytes = 32;
     CacheHierarchy expected(l1, l2);
-    expected.replay(trace);
+    MaterializedSource reference(trace);
+    expected.replay(reference);
     CacheHierarchy streamed(l1, l2);
     MaterializedSource source(trace, 4096);
     streamed.replay(source);
@@ -297,29 +309,63 @@ TEST(StreamEquivalenceTest, FlowRunAndCompareMatch) {
         parse_synthetic_spec("hotspot,span=16384,n=120000,seed=7,hotspots=3,"
                              "hotspot-bytes=512,hot-frac=0.85");
     const MemTrace trace = materialize_synthetic(spec);
+    MaterializedSource reference(trace);
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
-    for (const ClusterMethod method :
-         {ClusterMethod::None, ClusterMethod::Frequency, ClusterMethod::Affinity}) {
-        const FlowResult expected = flow.run(trace, method);
-        SyntheticSource source(spec, 10000);
-        const FlowResult streamed = flow.run(source, method);
-        expect_energy_equal(streamed.energy, expected.energy);
-        ASSERT_EQ(streamed.solution.arch.num_banks(), expected.solution.arch.num_banks());
-        for (std::size_t b = 0; b < expected.solution.arch.num_banks(); ++b) {
-            EXPECT_EQ(streamed.solution.arch.banks()[b].first_block,
-                      expected.solution.arch.banks()[b].first_block);
-            EXPECT_EQ(streamed.solution.arch.banks()[b].num_blocks,
-                      expected.solution.arch.banks()[b].num_blocks);
+    const std::vector<ClusterMethod> methods{ClusterMethod::None, ClusterMethod::Frequency,
+                                             ClusterMethod::Affinity};
+    set_default_jobs(1);
+    std::vector<FlowResult> expected;
+    for (const ClusterMethod method : methods) expected.push_back(flow.run(reference, method));
+    const FlowComparison expected_cmp = flow.compare(reference, ClusterMethod::Affinity);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+        set_default_jobs(jobs);
+        for (std::size_t m = 0; m < methods.size(); ++m) {
+            SyntheticSource source(spec, 10000);
+            const FlowResult streamed = flow.run(source, methods[m]);
+            expect_energy_equal(streamed.energy, expected[m].energy);
+            const MemoryArchitecture& arch = expected[m].solution.arch;
+            ASSERT_EQ(streamed.solution.arch.num_banks(), arch.num_banks());
+            for (std::size_t b = 0; b < arch.num_banks(); ++b) {
+                EXPECT_EQ(streamed.solution.arch.banks()[b].first_block,
+                          arch.banks()[b].first_block);
+                EXPECT_EQ(streamed.solution.arch.banks()[b].num_blocks,
+                          arch.banks()[b].num_blocks);
+            }
         }
+        SyntheticSource source(spec, 10000);
+        const FlowComparison streamed = flow.compare(source, ClusterMethod::Affinity);
+        expect_energy_equal(streamed.monolithic, expected_cmp.monolithic);
+        expect_energy_equal(streamed.partitioned.energy, expected_cmp.partitioned.energy);
+        expect_energy_equal(streamed.clustered.energy, expected_cmp.clustered.energy);
     }
-    const FlowComparison expected = flow.compare(trace, ClusterMethod::Affinity);
+    set_default_jobs(0);
+}
+
+TEST(StreamEquivalenceTest, FlowEntryPointsShareOneAffinityMap) {
+    // run(), run_hybrid() and compare() build the profile and the windowed
+    // affinity through the same steps, so Affinity clustering lands on the
+    // same address map whichever entry point asks for it.
+    const SyntheticSpec spec =
+        parse_synthetic_spec("hotspot,span=16384,n=60000,seed=9,hotspots=3,"
+                             "hotspot-bytes=512,hot-frac=0.85");
     SyntheticSource source(spec, 10000);
-    const FlowComparison streamed = flow.compare(source, ClusterMethod::Affinity);
-    expect_energy_equal(streamed.monolithic, expected.monolithic);
-    expect_energy_equal(streamed.partitioned.energy, expected.partitioned.energy);
-    expect_energy_equal(streamed.clustered.energy, expected.clustered.energy);
+    FlowParams fp;
+    fp.constraints.max_banks = 4;
+    const MemoryOptimizationFlow flow(fp);
+    const AddressMap run_map = flow.run(source, ClusterMethod::Affinity).map;
+    const AddressMap hybrid_map =
+        flow.run_hybrid(source, ClusterMethod::Affinity, BankPool::parse("sram=2,sttmram=2"))
+            .base.map;
+    const AddressMap compare_map = flow.compare(source, ClusterMethod::Affinity).clustered.map;
+    ASSERT_FALSE(run_map.is_identity());
+    ASSERT_EQ(run_map.num_blocks(), hybrid_map.num_blocks());
+    ASSERT_EQ(run_map.num_blocks(), compare_map.num_blocks());
+    for (std::size_t b = 0; b < run_map.num_blocks(); ++b) {
+        EXPECT_EQ(hybrid_map.map_block(b), run_map.map_block(b)) << "block " << b;
+        EXPECT_EQ(compare_map.map_block(b), run_map.map_block(b)) << "block " << b;
+    }
 }
 
 // ------------------------------------------------------ mtsc container ----

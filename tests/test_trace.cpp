@@ -9,6 +9,7 @@
 #include "support/rng.hpp"
 #include "trace/affinity.hpp"
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 #include "sim/kernels.hpp"
 #include "trace/io.hpp"
@@ -81,7 +82,8 @@ TEST(BlockProfile, FromTraceCountsPerBlock) {
     t.add_read(255);      // block 0  (byte access at end of block)
     t.add_write(256);     // block 1
     t.add_read(1020);     // block 3
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     EXPECT_EQ(p.num_blocks(), 4u);
     EXPECT_EQ(p.counts(0).reads, 2u);  // accesses at 0 and 255 both start in block 0
     EXPECT_EQ(p.counts(1).writes, 1u);
@@ -164,8 +166,9 @@ TEST(Affinity, TransitionCountsAdjacentBlocks) {
     t.add_read(256);   // block 1 -> edge 0-1
     t.add_read(0);     // block 0 -> edge 0-1 (symmetric)
     t.add_read(0);     // same block, no edge
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    const AffinityMatrix m = transition_affinity(t, p);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    const AffinityMatrix m = transition_affinity(src, p);
     EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(m.at(1, 0), 2.0);
     EXPECT_DOUBLE_EQ(m.total(), 2.0);
@@ -176,20 +179,22 @@ TEST(Affinity, WindowedSeesNonAdjacentPairs) {
     t.add_read(0);      // block 0
     t.add_read(256);    // block 1
     t.add_read(512);    // block 2
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    const AffinityMatrix m3 = windowed_affinity(t, p, 3);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    const AffinityMatrix m3 = windowed_affinity(src, p, 3);
     EXPECT_DOUBLE_EQ(m3.at(0, 1), 1.0);
     EXPECT_DOUBLE_EQ(m3.at(1, 2), 1.0);
     EXPECT_DOUBLE_EQ(m3.at(0, 2), 1.0);  // within window of 3
-    const AffinityMatrix m2 = windowed_affinity(t, p, 2);
+    const AffinityMatrix m2 = windowed_affinity(src, p, 2);
     EXPECT_DOUBLE_EQ(m2.at(0, 2), 0.0);  // not adjacent
 }
 
 TEST(Affinity, WindowValidation) {
     MemTrace t;
     t.add_read(0);
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    EXPECT_THROW(windowed_affinity(t, p, 1), Error);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    EXPECT_THROW(windowed_affinity(src, p, 1), Error);
 }
 
 TEST(Affinity, SetQueryAndSymmetry) {
@@ -229,7 +234,8 @@ TEST(Synthetic, HotspotTraceIsSkewedAndScattered) {
     hp.hotspot_bytes = 1024;
     hp.hot_fraction = 0.9;
     const MemTrace t = scattered_hotspot_trace(hp);
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     // 8 hotspots of 4 blocks each: ~32 hot blocks should hold ~90%.
     EXPECT_GT(p.hot_fraction(40), 0.85);
     // And they must be scattered, not contiguous.
@@ -568,18 +574,19 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile p1 = BlockProfile::from_trace(t, 256, 1);
-    const AffinityMatrix w1 = windowed_affinity(t, p1, 8, 1);
-    const AffinityMatrix a1 = transition_affinity(t, p1, 1);
+    MaterializedSource src(t);
+    const BlockProfile p1 = BlockProfile::from_source(src, 256, 1);
+    const AffinityMatrix w1 = windowed_affinity(src, p1, 8, 1);
+    const AffinityMatrix a1 = transition_affinity(src, p1, 1);
     for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
-        const BlockProfile pj = BlockProfile::from_trace(t, 256, jobs);
+        const BlockProfile pj = BlockProfile::from_source(src, 256, jobs);
         ASSERT_EQ(pj.num_blocks(), p1.num_blocks());
         for (std::size_t b = 0; b < p1.num_blocks(); ++b) {
             EXPECT_EQ(pj.counts(b).reads, p1.counts(b).reads) << b;
             EXPECT_EQ(pj.counts(b).writes, p1.counts(b).writes) << b;
         }
-        const AffinityMatrix wj = windowed_affinity(t, pj, 8, jobs);
-        const AffinityMatrix aj = transition_affinity(t, pj, jobs);
+        const AffinityMatrix wj = windowed_affinity(src, pj, 8, jobs);
+        const AffinityMatrix aj = transition_affinity(src, pj, jobs);
         EXPECT_EQ(wj.total(), w1.total());
         EXPECT_EQ(aj.total(), a1.total());
         for (std::size_t a = 0; a < p1.num_blocks(); ++a) {
@@ -588,32 +595,6 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
                 ASSERT_EQ(aj.at(a, b), a1.at(a, b)) << a << "," << b;
             }
         }
-    }
-}
-
-// The fused single-pass builder must agree exactly with the two-pass
-// composition it replaces, at every job count.
-TEST(ShardedReplay, FusedBuilderMatchesTwoPass) {
-    const MemTrace t = scattered_hotspot_trace({
-        .base = {.span_bytes = 128 * 256, .num_accesses = 200000, .write_fraction = 0.3,
-                 .seed = 22},
-        .num_hotspots = 4,
-        .hotspot_bytes = 512,
-        .hot_fraction = 0.8,
-    });
-    const BlockProfile ref_profile = BlockProfile::from_trace(t, 256, 1);
-    const AffinityMatrix ref_affinity = windowed_affinity(t, ref_profile, 8, 1);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        const ProfileAffinity pa = build_profile_and_affinity(t, 256, 8, jobs);
-        ASSERT_EQ(pa.profile.num_blocks(), ref_profile.num_blocks());
-        for (std::size_t b = 0; b < ref_profile.num_blocks(); ++b) {
-            EXPECT_EQ(pa.profile.counts(b).reads, ref_profile.counts(b).reads) << b;
-            EXPECT_EQ(pa.profile.counts(b).writes, ref_profile.counts(b).writes) << b;
-        }
-        EXPECT_EQ(pa.affinity.total(), ref_affinity.total());
-        for (std::size_t a = 0; a < ref_profile.num_blocks(); ++a)
-            for (std::size_t b = a; b < ref_profile.num_blocks(); ++b)
-                ASSERT_EQ(pa.affinity.at(a, b), ref_affinity.at(a, b)) << a << "," << b;
     }
 }
 
@@ -629,7 +610,8 @@ TEST(AffinityCsr, SparseMatchesDense) {
         .hotspot_bytes = 512,
         .hot_fraction = 0.8,
     });
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     const auto addrs = t.addrs();
 
     AffinityAccumulator acc_dense(p.num_blocks());
