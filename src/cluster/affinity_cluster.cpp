@@ -20,11 +20,18 @@ AddressMap affinity_clustering(const BlockProfile& profile, const AffinityMatrix
         max_count = std::max(max_count, profile.counts(b).total());
     const double max_affinity = affinity.max_offdiagonal();
 
-    const auto heat = [&](std::size_t b) {
-        return max_count == 0
-                   ? 0.0
-                   : static_cast<double>(profile.counts(b).total()) / static_cast<double>(max_count);
-    };
+    // Loop invariants of the candidate scan: each block's weighted heat
+    // and the affinity normalizer (divided by, never multiplied by its
+    // reciprocal, so every score rounds as it always has).
+    std::vector<double> weighted_heat(n, 0.0);
+    if (max_count > 0) {
+        for (std::size_t b = 0; b < n; ++b) {
+            weighted_heat[b] = params.frequency_weight *
+                               (static_cast<double>(profile.counts(b).total()) /
+                                static_cast<double>(max_count));
+        }
+    }
+    const double affinity_norm = max_affinity * static_cast<double>(params.tail_window);
 
     // Hot blocks are chained greedily; cold (zero-access) blocks keep their
     // original relative order at the tail.
@@ -69,8 +76,8 @@ AddressMap affinity_clustering(const BlockProfile& profile, const AffinityMatrix
             for (std::size_t b : hot) {
                 if (placed[b]) continue;
                 double aff = attraction[b];
-                if (max_affinity > 0.0) aff /= max_affinity * static_cast<double>(params.tail_window);
-                const double score = aff + params.frequency_weight * heat(b);
+                if (max_affinity > 0.0) aff /= affinity_norm;
+                const double score = aff + weighted_heat[b];
                 if (score > best_score) {
                     best_score = score;
                     best_block = b;

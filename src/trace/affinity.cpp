@@ -1,6 +1,10 @@
 #include "trace/affinity.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <new>
+#include <span>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -39,7 +43,7 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
         for (std::size_t k = 0; k < count; ++k) {
-            if (ring[k] != block) acc.add(ring[k], block, 1.0);
+            if (ring[k] != block) acc.add(ring[k], block);
         }
         push(block);
     }
@@ -61,7 +65,7 @@ void transition_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> co
     }
     for (; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-        if (block != prev) acc.add(prev, block, 1.0);
+        if (block != prev) acc.add(prev, block);
         prev = block;
     }
 }
@@ -156,6 +160,22 @@ double AffinityMatrix::max_offdiagonal() const {
 // ---------------------------------------------------------------------------
 // AffinityAccumulator
 
+namespace {
+
+/// Table capacity on first use (slots; a power of two).
+constexpr std::size_t kInitialSlots = 1024;
+/// Fibonacci multiplier: the top bits of key * kHashMul index the table.
+constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ull;
+/// Top count bit: marks an entry not yet re-homed while grow() rehashes the
+/// table in place. No count comes near 2^63.
+constexpr std::uint64_t kPending = std::uint64_t{1} << 63;
+
+std::uint64_t pair_key(std::size_t a, std::size_t b) {
+    return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
 AffinityAccumulator::AffinityAccumulator(std::size_t num_blocks)
     : n_(num_blocks), dense_(num_blocks <= kAffinityDenseMaxBlocks) {
     require(num_blocks > 0, "AffinityAccumulator: num_blocks must be > 0");
@@ -164,34 +184,166 @@ AffinityAccumulator::AffinityAccumulator(std::size_t num_blocks)
     if (dense_) tri_.assign(n_ * (n_ + 1) / 2, 0.0);
 }
 
-std::uint64_t AffinityAccumulator::pack(std::size_t a, std::size_t b) const {
-    MEMOPT_ASSERT(a < n_ && b < n_);
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
+std::size_t AffinityAccumulator::home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * kHashMul) >> hash_shift_);
 }
 
-void AffinityAccumulator::add(std::size_t a, std::size_t b, double w) {
-    if (dense_) {
-        if (a > b) std::swap(a, b);
-        MEMOPT_ASSERT(b < n_);
-        tri_[a * n_ - a * (a + 1) / 2 + b] += w;
-    } else {
-        pairs_[pack(a, b)] += w;
+AffinityAccumulator::PairCount& AffinityAccumulator::slot(std::uint64_t key) {
+    const std::size_t mask = capacity_ - 1;
+    PairCount* table = table_.get();
+    std::size_t i = home(key);
+    while (table[i].count != 0 && table[i].key != key) i = (i + 1) & mask;
+    return table[i];
+}
+
+void AffinityAccumulator::grow() {
+    // One allocation per growth, extended in place where the allocator can
+    // (large blocks are remapped, not copied), so a growing table never
+    // holds its old and its new storage at once.
+    const std::size_t old_capacity = capacity_;
+    const std::size_t capacity = old_capacity == 0 ? kInitialSlots : 2 * old_capacity;
+    auto* table = static_cast<PairCount*>(std::realloc(table_.get(), capacity * sizeof(PairCount)));
+    if (table == nullptr) throw std::bad_alloc();
+    static_cast<void>(table_.release());
+    table_.reset(table);
+    std::fill(table + old_capacity, table + capacity, PairCount{0, 0});
+    capacity_ = capacity;
+    hash_shift_ = 64 - log2_exact(capacity);
+    grow_at_ = capacity / 4 * 3;
+
+    // Re-home in place. Every old entry is marked pending, then lifted out
+    // in turn and re-inserted from its new home: it passes placed entries at
+    // least as hot as itself and takes the first slot that is empty, still
+    // pending, or held by a colder entry. The evicted occupant is re-inserted
+    // the same way, a pending one from its own home, a placed one onward
+    // from the slot it lost. Pending slots are never passed over, so lifting
+    // one opens no hole in another entry's probe path; and the hottest pairs
+    // settle nearest their homes, where most lookups end.
+    for (std::size_t i = 0; i < old_capacity; ++i) {
+        if (table[i].count != 0) table[i].count |= kPending;
+    }
+    const std::size_t mask = capacity - 1;
+    for (std::size_t i = 0; i < old_capacity; ++i) {
+        if ((table[i].count & kPending) == 0) continue;
+        PairCount carry = std::exchange(table[i], PairCount{0, 0});
+        std::size_t j = 0;
+        bool from_home = true;
+        while (carry.count != 0) {
+            if (from_home) {
+                carry.count &= ~kPending;
+                j = home(carry.key);
+            }
+            while (table[j].count != 0 && (table[j].count & kPending) == 0 &&
+                   table[j].count >= carry.count)
+                j = (j + 1) & mask;
+            from_home = (table[j].count & kPending) != 0;
+            std::swap(carry, table[j]);
+            j = (j + 1) & mask;
+        }
     }
 }
 
-void AffinityAccumulator::merge(const AffinityAccumulator& other) {
+void AffinityAccumulator::add(std::size_t a, std::size_t b) {
+    if (a > b) std::swap(a, b);
+    MEMOPT_ASSERT(b < n_);
+    if (dense_) {
+        tri_[a * n_ - a * (a + 1) / 2 + b] += 1.0;
+        return;
+    }
+    if (table_used_ >= grow_at_) grow();
+    const std::uint64_t key = pair_key(a, b);
+    PairCount& e = slot(key);
+    if (e.count == 0) {
+        e.key = key;
+        ++table_used_;
+    }
+    ++e.count;
+}
+
+namespace {
+
+/// Drain the occupied slots (count != 0) of an open-addressing table into
+/// an exact-size, key-sorted run. LSD radix sort, one key byte per pass,
+/// skipping the bytes every key shares (block numbers fill only the low bits
+/// of each 32-bit half). The first pass scatters straight out of the table
+/// and later passes alternate between the run and the table's front, so the
+/// table's storage is the sort's scratch and draining allocates only the run.
+template <typename Entry>
+std::vector<Entry> drain_sorted(std::span<Entry> table, std::size_t used) {
+    constexpr unsigned kBytes = 8;
+    std::array<std::array<std::size_t, 256>, kBytes> offset{};
+    std::uint64_t any_key = 0;
+    for (const Entry& e : table) {
+        if (e.count == 0) continue;
+        any_key = e.key;
+        for (unsigned d = 0; d < kBytes; ++d) ++offset[d][(e.key >> (8 * d)) & 0xFF];
+    }
+    std::vector<Entry> run(used);
+    const std::span<Entry> scratch = table.first(used);
+    std::span<const Entry> from = table;
+    for (unsigned d = 0; d < kBytes; ++d) {
+        auto& next = offset[d];
+        if (next[(any_key >> (8 * d)) & 0xFF] == used) continue;
+        std::size_t sum = 0;
+        for (std::size_t& c : next) sum += std::exchange(c, sum);
+        const std::span<Entry> to = from.data() == run.data() ? scratch : std::span<Entry>(run);
+        for (const Entry& e : from) {
+            if (e.count != 0) to[next[(e.key >> (8 * d)) & 0xFF]++] = e;
+        }
+        from = to;
+    }
+    if (from.data() != run.data())
+        std::copy_if(from.begin(), from.end(), run.begin(),
+                     [](const Entry& e) { return e.count != 0; });
+    return run;
+}
+
+/// Linear merge of two key-sorted runs, summing the counts of equal keys.
+template <typename Entry>
+std::vector<Entry> merge_runs(std::vector<Entry> x, std::vector<Entry> y) {
+    if (x.empty()) return y;
+    if (y.empty()) return x;
+    std::vector<Entry> out;
+    out.reserve(x.size() + y.size());
+    auto i = x.begin();
+    auto j = y.begin();
+    while (i != x.end() && j != y.end()) {
+        if (i->key < j->key) {
+            out.push_back(*i++);
+        } else if (j->key < i->key) {
+            out.push_back(*j++);
+        } else {
+            out.push_back({i->key, i->count + j->count});
+            ++i;
+            ++j;
+        }
+    }
+    out.insert(out.end(), i, x.end());
+    out.insert(out.end(), j, y.end());
+    return out;
+}
+
+}  // namespace
+
+std::vector<AffinityAccumulator::PairCount> AffinityAccumulator::take_run() {
+    std::vector<PairCount> drained =
+        drain_sorted(std::span<PairCount>(table_.get(), capacity_), table_used_);
+    table_.reset();
+    capacity_ = 0;
+    table_used_ = 0;
+    grow_at_ = 0;
+    return merge_runs(std::exchange(run_, {}), std::move(drained));
+}
+
+void AffinityAccumulator::merge(AffinityAccumulator&& other) {
     require(other.n_ == n_ && other.dense_ == dense_,
             "AffinityAccumulator::merge: shape mismatch");
     if (dense_) {
         for (std::size_t i = 0; i < tri_.size(); ++i) tri_[i] += other.tri_[i];
-    } else {
-        // memopt-lint: order-independent -- keys are unique within other.pairs_,
-        // so each target slot receives exactly one += per merge; the per-key sum
-        // is the same whatever order the source map is walked in. (Cross-shard
-        // merge order is fixed by the callers' in-shard-order reduction.)
-        for (const auto& [key, w] : other.pairs_) pairs_[key] += w;
+        return;
     }
+    std::vector<PairCount> mine = take_run();
+    run_ = merge_runs(std::move(mine), other.take_run());
 }
 
 AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
@@ -208,66 +360,52 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
             tri_.clear();
         } else {
             m.tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-            // memopt-lint: order-independent -- pure scatter: each unique key
-            // writes (not accumulates) its own triangular slot exactly once.
-            for (const auto& [key, w] : pairs_) {
-                const auto a = static_cast<std::size_t>(key >> 32);
-                const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
-                m.tri_[a * n_ - a * (a + 1) / 2 + b] = w;
+            for (const PairCount& e : take_run()) {
+                const auto a = static_cast<std::size_t>(e.key >> 32);
+                const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
+                m.tri_[a * n_ - a * (a + 1) / 2 + b] = static_cast<double>(e.count);
             }
-            pairs_.clear();
         }
         return m;
     }
 
-    // CSR result: collect the upper-triangle pairs sorted by (row, col),
-    // then scatter each into both adjacency rows. Processing pairs in
-    // ascending (a, b) order fills every row's columns in ascending order:
-    // row r first receives its below-diagonal neighbours (from pairs whose
-    // larger element is r, arriving as the smaller element ascends), then
-    // its above-diagonal neighbours (from its own row's pairs).
-    std::vector<std::pair<std::uint64_t, double>> sorted;
+    // CSR result from the upper-triangle pairs in ascending (a, b) order,
+    // scattered into both adjacency rows. That order fills every row's
+    // columns ascending: row r first receives its below-diagonal neighbours
+    // (from pairs whose larger element is r, arriving as the smaller element
+    // ascends), then its above-diagonal neighbours (from its own row's pairs).
+    std::vector<PairCount> run;
     if (dense_) {
         for (std::size_t a = 0; a < n_; ++a) {
             const std::size_t row_base = a * n_ - a * (a + 1) / 2;
             for (std::size_t b = a; b < n_; ++b) {
                 const double w = tri_[row_base + b];
-                if (w != 0.0)
-                    sorted.emplace_back((static_cast<std::uint64_t>(a) << 32) | b, w);
+                if (w != 0.0) run.push_back({pair_key(a, b), static_cast<std::uint64_t>(w)});
             }
         }
         tri_.clear();
     } else {
-        sorted.reserve(pairs_.size());
-        // memopt-lint: order-independent -- collection order is erased by the
-        // std::sort on the (unique) packed keys before any emission; pinned by
-        // Affinity.SparseAccumulatorInvariantUnderInsertOrder.
-        for (const auto& [key, w] : pairs_) {
-            if (w != 0.0) sorted.emplace_back(key, w);
-        }
-        pairs_.clear();
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
+        run = take_run();
     }
 
     m.sparse_ = true;
     m.tri_.clear();
-    std::vector<std::size_t> degree(n_, 0);
-    for (const auto& [key, w] : sorted) {
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
-        ++degree[a];
-        if (a != b) ++degree[b];
-    }
     m.row_ptr_.assign(n_ + 1, 0);
-    for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] = m.row_ptr_[a] + degree[a];
+    for (const PairCount& e : run) {
+        const auto a = static_cast<std::size_t>(e.key >> 32);
+        const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
+        ++m.row_ptr_[a + 1];
+        if (a != b) ++m.row_ptr_[b + 1];
+    }
+    for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
     const std::size_t nnz = m.row_ptr_[n_];
     m.col_.assign(nnz, 0);
     m.val_.assign(nnz, 0.0);
     std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
-    for (const auto& [key, w] : sorted) {
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
+    for (const PairCount& e : run) {
+        const auto a = static_cast<std::size_t>(e.key >> 32);
+        const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
+        const auto w = static_cast<double>(e.count);
         m.col_[cursor[a]] = static_cast<std::uint32_t>(b);
         m.val_[cursor[a]] = w;
         ++cursor[a];
@@ -293,7 +431,7 @@ AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& prof
             std::span<const std::uint64_t> context) {
             transition_chunk(chunk, context, shift, num_blocks, out);
         },
-        [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
+        [](AffinityAccumulator& into, AffinityAccumulator& from) { into.merge(std::move(from)); });
     return acc.finalize();
 }
 
@@ -308,7 +446,7 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
             std::span<const std::uint64_t> context) {
             windowed_chunk(chunk, context, window, shift, num_blocks, out);
         },
-        [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
+        [](AffinityAccumulator& into, AffinityAccumulator& from) { into.merge(std::move(from)); });
     return acc.finalize();
 }
 

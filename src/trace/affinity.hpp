@@ -14,17 +14,29 @@
 // the n^2 possible ones. Both representations produce bit-identical query
 // results for the integer-valued co-access counts the builders emit.
 //
+// Above the dense limit the accumulator counts pairs in a flat
+// open-addressing table: packed (min, max) block-pair keys with uint64
+// counts, power-of-two capacity, multiplicative hashing and linear probing,
+// doubled in place (one realloc) at load 3/4. Tables are never merged by
+// re-inserting one into another: a source table walked in slot order
+// arrives in hash order, which piles up long probe runs in the target.
+// Instead merge() and finalize() drain each table into a key-sorted
+// (key, count) run and combine runs by a linear merge; finalize() builds
+// the CSR straight from the merged run, whose key order is already the
+// CSR's row/column order.
+//
 // Long traces are replayed sharded across the process thread pool
 // (support/parallel.hpp): each shard replays a contiguous slice of the
 // trace (pre-warming its sliding window from the preceding accesses) and
-// the per-shard partial sums are reduced in shard order. Co-access weights
-// are integer counts, so the reduction is exact and results are
+// the per-shard partial counts are reduced in shard order. Co-access
+// weights are integer counts, so the reduction is exact and results are
 // bit-identical at any job count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "trace/profile.hpp"
@@ -110,32 +122,59 @@ private:
 };
 
 /// Order-independent affinity accumulator: the builders' shard-local sink.
-/// Accumulates (a, b) += w pairs (a == b allowed) and finalizes into the
+/// Counts (a, b) co-accesses (a == b allowed) and finalizes into the
 /// representation matching the block count. merge() folds another shard's
-/// partial sums in, element-wise.
+/// partial counts in, element-wise.
 class AffinityAccumulator {
 public:
     explicit AffinityAccumulator(std::size_t num_blocks);
 
     std::size_t num_blocks() const { return n_; }
 
-    void add(std::size_t a, std::size_t b, double w);
+    /// Count one co-access of blocks a and b (symmetric).
+    void add(std::size_t a, std::size_t b);
 
-    /// Fold `other`'s partial sums into this accumulator (element-wise).
-    /// Call in shard order for a deterministic reduction.
-    void merge(const AffinityAccumulator& other);
+    /// Fold `other`'s partial counts into this accumulator (element-wise),
+    /// consuming `other`. Call in shard order for a deterministic reduction.
+    void merge(AffinityAccumulator&& other);
 
     /// Finalize into a matrix: dense for num_blocks <= dense_max_blocks,
     /// CSR above. Leaves the accumulator empty.
     AffinityMatrix finalize(std::size_t dense_max_blocks = kAffinityDenseMaxBlocks);
 
 private:
-    std::uint64_t pack(std::size_t a, std::size_t b) const;
+    /// A packed (min << 32 | max) block pair and its co-access count. In the
+    /// table, a slot with count 0 is empty.
+    struct PairCount {
+        std::uint64_t key;
+        std::uint64_t count;
+    };
+
+    struct FreeSlots {
+        void operator()(PairCount* p) const { std::free(p); }
+    };
+
+    /// The home slot of `key`: the top log2(capacity) bits of its hash.
+    std::size_t home(std::uint64_t key) const;
+    /// The table slot holding `key`, or the empty slot where it belongs.
+    PairCount& slot(std::uint64_t key);
+    /// Double the table (allocate it on first use) and re-home its entries.
+    void grow();
+    /// Everything counted so far as one key-sorted run; empties the
+    /// accumulator.
+    std::vector<PairCount> take_run();
 
     std::size_t n_;
     bool dense_;
-    std::vector<double> tri_;                           // dense accumulation
-    std::unordered_map<std::uint64_t, double> pairs_;   // sparse accumulation
+    std::vector<double> tri_;  // dense accumulation
+    // sparse: open-addressing pair counts in malloc'd storage, so that
+    // grow() can extend it with realloc
+    std::unique_ptr<PairCount[], FreeSlots> table_;
+    std::size_t capacity_ = 0;    // table slots, a power of two (0 before first use)
+    std::size_t table_used_ = 0;  // occupied table slots
+    std::size_t grow_at_ = 0;     // table_used_ that triggers the next growth
+    unsigned hash_shift_ = 0;     // 64 - log2(capacity_)
+    std::vector<PairCount> run_;  // sparse: merged-in counts, key-sorted
 };
 
 /// Build a transition affinity: affinity(a,b) += 1 whenever an access to

@@ -619,8 +619,8 @@ TEST(AffinityCsr, SparseMatchesDense) {
     for (std::size_t i = 1; i < t.size(); ++i) {
         const std::size_t a = static_cast<std::size_t>(addrs[i - 1] / 256);
         const std::size_t b = static_cast<std::size_t>(addrs[i] / 256);
-        acc_dense.add(a, b, 1.0);
-        acc_sparse.add(a, b, 1.0);
+        acc_dense.add(a, b);
+        acc_sparse.add(a, b);
     }
     const AffinityMatrix dense = acc_dense.finalize();
     const AffinityMatrix sparse = acc_sparse.finalize(0);
@@ -642,11 +642,13 @@ TEST(AffinityCsr, SparseMatchesDense) {
 }
 
 TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
-    // Regression for the unordered pair map inside AffinityAccumulator: above
-    // kAffinityDenseMaxBlocks the accumulator collects (block, block) weights
-    // in an unordered_map, and finalize() must erase its hash order via the
-    // packed-key sort before emitting CSR. Feeding the same pair multiset in
-    // forward and reversed order must therefore produce identical matrices.
+    // Regression for the open-addressing pair table inside
+    // AffinityAccumulator: above kAffinityDenseMaxBlocks the accumulator
+    // counts (block, block) pairs in a linear-probing table whose slot order
+    // depends on insert order, and finalize() must erase it by draining the
+    // table into a key-sorted run before emitting CSR. Feeding the same pair
+    // multiset in forward and reversed order must therefore produce
+    // identical matrices.
     const std::size_t n = kAffinityDenseMaxBlocks + 64;
     Rng rng(9);
     std::vector<std::pair<std::size_t, std::size_t>> adds;
@@ -656,8 +658,8 @@ TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
     }
     AffinityAccumulator fwd(n);
     AffinityAccumulator rev(n);
-    for (const auto& [a, b] : adds) fwd.add(a, b, 1.0);
-    for (auto it = adds.rbegin(); it != adds.rend(); ++it) rev.add(it->first, it->second, 1.0);
+    for (const auto& [a, b] : adds) fwd.add(a, b);
+    for (auto it = adds.rbegin(); it != adds.rend(); ++it) rev.add(it->first, it->second);
 
     const AffinityMatrix ma = fwd.finalize();
     const AffinityMatrix mb = rev.finalize();
