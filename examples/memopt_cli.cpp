@@ -430,9 +430,14 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     const std::int64_t chunk = args.get_int("chunk-size", 0);
     usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
 
+    const std::int64_t block = args.get_int("block", 256);
+    usage_require(block > 0 && is_pow2(static_cast<std::uint64_t>(block)),
+                  "partition: --block expects a power-of-two byte count");
+    const std::int64_t banks = args.get_int("banks", 4);
+    usage_require(banks >= 1, "partition: --banks expects a count >= 1");
     FlowParams fp;
-    fp.block_size = static_cast<std::uint64_t>(args.get_int("block", 256));
-    fp.constraints.max_banks = static_cast<std::size_t>(args.get_int("banks", 4));
+    fp.block_size = static_cast<std::uint64_t>(block);
+    fp.constraints.max_banks = static_cast<std::size_t>(banks);
     const MemoryOptimizationFlow flow(fp);
 
     const std::string method_name = args.get("cluster", "frequency");

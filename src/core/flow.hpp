@@ -106,8 +106,9 @@ public:
     /// budget capped by the pool size), replay the trace once to extract
     /// per-bank gating residency, then place the pool's technologies onto
     /// the banks with the exact assignment DP (partition/hybrid.hpp).
-    /// Sequential and --jobs-invariant; resets `source` before replaying,
-    /// so back-to-back pool evaluations on one source are independent.
+    /// The replay runs as parallel shards on stable sources and is
+    /// --jobs-invariant; resets `source` before replaying, so back-to-back
+    /// pool evaluations on one source are independent.
     HybridFlowResult run_hybrid(TraceSource& source, ClusterMethod method,
                                 const BankPool& pool,
                                 const HybridGatingParams& gating = {}) const;

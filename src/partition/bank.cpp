@@ -1,7 +1,10 @@
 #include "partition/bank.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
+#include "cluster/address_map.hpp"
 #include "support/assert.hpp"
 
 namespace memopt {
@@ -82,6 +85,23 @@ std::uint64_t MemoryArchitecture::total_capacity() const {
     std::uint64_t total = 0;
     for (const Bank& bank : banks_) total += bank.size_bytes;
     return total;
+}
+
+BankLookup::BankLookup(const MemoryArchitecture& arch, const AddressMap& map)
+    : shift_(log2_exact(arch.block_size())), bank_(arch.num_blocks()) {
+    MEMOPT_ASSERT(map.block_size() == arch.block_size());
+    MEMOPT_ASSERT(map.num_blocks() == bank_.size());
+    MEMOPT_ASSERT(arch.num_banks() <= std::numeric_limits<std::uint32_t>::max());
+    // Banks tile the physical block space in order, so one walk over them
+    // labels every physical block; the logical table then follows the map.
+    std::vector<std::uint32_t> physical(bank_.size());
+    for (std::size_t b = 0; b < arch.num_banks(); ++b) {
+        const Bank& bank = arch.banks()[b];
+        std::fill_n(physical.begin() + static_cast<std::ptrdiff_t>(bank.first_block),
+                    bank.num_blocks, static_cast<std::uint32_t>(b));
+    }
+    const std::span<const std::size_t> perm = map.permutation();
+    for (std::size_t l = 0; l < bank_.size(); ++l) bank_[l] = physical[perm[l]];
 }
 
 }  // namespace memopt

@@ -9,9 +9,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/assert.hpp"
 #include "trace/profile.hpp"
 
 namespace memopt {
+
+class AddressMap;
 
 /// One SRAM bank covering a contiguous block range.
 struct Bank {
@@ -70,6 +73,29 @@ private:
 
     std::vector<Bank> banks_;
     std::uint64_t block_size_;
+};
+
+/// Byte address -> bank under a block remap, as one table lookup: the
+/// trace replays use it instead of AddressMap::map_addr's division plus
+/// bank_of_block's binary search per access. The table holds one entry per
+/// logical block: bank_of_block(map.map_block(l)).
+class BankLookup {
+public:
+    /// `map` must cover exactly `arch`'s blocks with the same block size.
+    BankLookup(const MemoryArchitecture& arch, const AddressMap& map);
+
+    /// Bank holding byte address `addr` (logical, before the remap).
+    /// Throws memopt::Error, with AddressMap::map_addr's text, when `addr`
+    /// lies outside the mapped span.
+    std::size_t bank_of(std::uint64_t addr) const {
+        const std::uint64_t block = addr >> shift_;
+        if (block >= bank_.size()) throw Error("map_addr: address outside mapped span");
+        return bank_[static_cast<std::size_t>(block)];
+    }
+
+private:
+    unsigned shift_;
+    std::vector<std::uint32_t> bank_;
 };
 
 }  // namespace memopt

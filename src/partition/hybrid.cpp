@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "trace/source.hpp"
@@ -19,6 +21,34 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
             "replay_bank_activity: block size mismatch");
 }
 
+/// Charge one idle gap of `gap` cycles between two accesses to a bank:
+/// powered for the first `idle` cycles, gated for the rest. Only a gap that
+/// ends in an access wakes the bank (the closing gap to the end of the
+/// window does not).
+void add_gap(BankActivity& a, std::uint64_t gap, std::uint64_t idle, bool ends_in_access) {
+    const std::uint64_t powered = std::min(gap, idle);
+    a.active_cycles += powered;
+    a.gated_cycles += gap - powered;
+    if (ends_in_access && gap > idle) ++a.wakeups;
+}
+
+/// One bank over a contiguous stretch of the trace: its first and last
+/// access there, the access counts, and add_gap() over the gaps between
+/// its accesses inside the stretch.
+struct BankGaps {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    BankActivity sums;
+};
+
+/// Replay state of one contiguous stretch (a shard, or several merged).
+struct GapShard {
+    std::vector<BankGaps> banks;
+    std::uint64_t accesses = 0;
+    std::uint64_t first_cycle = 0;
+    std::uint64_t last_cycle = 0;
+};
+
 }  // namespace
 
 std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
@@ -31,75 +61,80 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
             "HybridGatingParams: gate_leak_scale must be >= 0");
 
     const std::size_t num_banks = arch.num_banks();
-    std::vector<BankActivity> activity(num_banks);
+    const BankLookup lookup(arch, map);
+    // A bank that never gates is one whose idle threshold is never passed.
+    const std::uint64_t idle =
+        gating.enabled ? gating.idle_cycles : std::numeric_limits<std::uint64_t>::max();
 
-    // Same shape as the sleep controller of partition/sleep.cpp, but the
-    // replay records *cycles*, not energy: the gate state machine depends
-    // only on access times, so one pass serves every candidate technology.
-    struct BankState {
-        std::uint64_t last_access = 0;
-        std::uint64_t state_since = 0;  // cycle the current power state began
-        bool gated = false;
-    };
-    std::vector<BankState> states(num_banks);
-
-    std::uint64_t now = 0;
-    source.reset();
-    TraceChunk chunk;
-    while (source.next(chunk)) {
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            MEMOPT_ASSERT_MSG(chunk.cycles[i] >= now, "trace cycles must be non-decreasing");
-            now = chunk.cycles[i];
-            const std::uint64_t phys = map.map_addr(chunk.addrs[i]);
-            const std::size_t block = static_cast<std::size_t>(phys / arch.block_size());
-            const std::size_t bank = arch.bank_of_block(block);
-
-            if (gating.enabled) {
-                // Retire gate transitions for every bank whose idle
-                // threshold has passed (cf. sleep.cpp: the accessed bank
-                // must be exact, the rest need the transition point for
-                // their own residency split).
-                for (std::size_t b = 0; b < num_banks; ++b) {
-                    BankState& s = states[b];
-                    if (!s.gated && now > s.last_access + gating.idle_cycles) {
-                        const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
-                        activity[b].active_cycles += gate_start - s.state_since;
-                        s.gated = true;
-                        s.state_since = gate_start;
-                    }
-                }
-                BankState& s = states[bank];
-                if (s.gated) {
-                    activity[bank].gated_cycles += now - s.state_since;
-                    s.gated = false;
-                    s.state_since = now;
-                    ++activity[bank].wakeups;
-                }
-                s.last_access = now;
+    // Contiguous shards merged in stream order on stable sources; the
+    // non-stable parallel path deals chunks round-robin, so it gets one
+    // job and the fold stays in order.
+    const std::size_t jobs = source.stable_chunks() ? 0 : 1;
+    GapShard total = stream_accumulate(
+        source, 0, jobs, [&] { return GapShard{std::vector<BankGaps>(num_banks)}; },
+        [&](GapShard& shard, const TraceChunk& chunk, std::span<const std::uint64_t>) {
+            std::uint64_t prev = shard.accesses == 0 ? chunk.cycles[0] : shard.last_cycle;
+            if (shard.accesses == 0) shard.first_cycle = prev;
+            for (std::size_t i = 0; i < chunk.size(); ++i) {
+                const std::uint64_t now = chunk.cycles[i];
+                MEMOPT_ASSERT_MSG(now >= prev, "trace cycles must be non-decreasing");
+                prev = now;
+                BankGaps& g = shard.banks[lookup.bank_of(chunk.addrs[i])];
+                if (g.sums.accesses() == 0)
+                    g.first = now;
+                else
+                    add_gap(g.sums, now - g.last, idle, true);
+                g.last = now;
+                if (chunk.kinds[i] == AccessKind::Read)
+                    ++g.sums.reads;
+                else
+                    ++g.sums.writes;
             }
-            if (chunk.kinds[i] == AccessKind::Read)
-                ++activity[bank].reads;
-            else
-                ++activity[bank].writes;
-        }
-    }
+            shard.accesses += chunk.size();
+            shard.last_cycle = prev;
+        },
+        [&](GapShard& into, GapShard& from) {
+            if (from.accesses == 0) return;
+            if (into.accesses == 0) {
+                std::swap(into, from);
+                return;
+            }
+            MEMOPT_ASSERT_MSG(from.first_cycle >= into.last_cycle,
+                              "trace cycles must be non-decreasing");
+            for (std::size_t b = 0; b < num_banks; ++b) {
+                BankGaps& x = into.banks[b];
+                const BankGaps& y = from.banks[b];
+                if (y.sums.accesses() == 0) continue;
+                if (x.sums.accesses() == 0) {
+                    x = y;
+                    continue;
+                }
+                add_gap(x.sums, y.first - x.last, idle, true);
+                x.last = y.last;
+                x.sums.reads += y.sums.reads;
+                x.sums.writes += y.sums.writes;
+                x.sums.wakeups += y.sums.wakeups;
+                x.sums.active_cycles += y.sums.active_cycles;
+                x.sums.gated_cycles += y.sums.gated_cycles;
+            }
+            into.accesses += from.accesses;
+            into.last_cycle = from.last_cycle;
+        });
 
-    // Close out every bank at the end of the observation window. The tail
-    // beyond the last access is idle time like any other: banks whose
-    // threshold passes inside it gate for the remainder.
-    const std::uint64_t end = std::max(now + 1, min_total_cycles);
+    // Every bank starts at a virtual access at cycle 0 and is observed up
+    // to `end`; the tail beyond its last access is idle time like any
+    // other, except that nothing wakes the bank at the end.
+    const std::uint64_t end = std::max(total.last_cycle + 1, min_total_cycles);
+    std::vector<BankActivity> activity(num_banks);
     for (std::size_t b = 0; b < num_banks; ++b) {
-        BankState& s = states[b];
-        if (gating.enabled && !s.gated && end > s.last_access + gating.idle_cycles) {
-            const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
-            activity[b].active_cycles += gate_start - s.state_since;
-            s.gated = true;
-            s.state_since = gate_start;
+        const BankGaps& g = total.banks[b];
+        activity[b] = g.sums;
+        if (g.sums.accesses() == 0) {
+            add_gap(activity[b], end, idle, false);
+            continue;
         }
-        if (s.gated)
-            activity[b].gated_cycles += end - s.state_since;
-        else
-            activity[b].active_cycles += end - s.state_since;
+        add_gap(activity[b], g.first, idle, true);
+        add_gap(activity[b], end - g.last, idle, false);
     }
     return activity;
 }

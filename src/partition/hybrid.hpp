@@ -7,16 +7,24 @@
 // produce), then choose the energy-optimal technology per bank with an exact
 // assignment DP over the pool's slot counts.
 //
-// The split matters: the gating state machine only looks at access *times*,
+// The split matters: the gating controller only looks at access *times*,
 // which are fixed by the architecture and the address map, never by what the
-// bank is built in. One sequential replay therefore serves every candidate
-// technology, and the per-bank cost of a technology is closed-form in the
-// BankActivity — the assignment search costs microseconds, not replays.
+// bank is built in. One replay therefore serves every candidate technology,
+// and the per-bank cost of a technology is closed-form in the BankActivity —
+// the assignment search costs microseconds, not replays.
 //
-// Determinism contract: the replay is sequential (state machine over cycle
-// time), the DP iterates banks/states/slots in fixed order with strict-<
-// improvement (first slot wins ties), and nothing here touches the parallel
-// runtime — results are bit-identical at any --jobs.
+// The replay needs no per-bank state machine either: a bank's residency is a
+// sum over the gaps between its consecutive accesses (each gap is powered
+// for up to idle_cycles and gated for the rest; a gated gap that ends in an
+// access costs a wake-up). Gap sums compose across a seam from each side's
+// first and last access, so contiguous trace shards replay in parallel and
+// merge in stream order.
+//
+// Determinism contract: every replay quantity is an integer sum, so the
+// sharded replay is bit-identical to a sequential one at any --jobs (the
+// shards are contiguous and merged in order; non-stable sources replay on
+// one job). The DP iterates banks/states/slots in fixed order with strict-<
+// improvement (first slot wins ties).
 #pragma once
 
 #include <cstdint>
@@ -59,10 +67,13 @@ struct BankActivity {
 
 /// Replay `source` through `arch` under `map` and return each bank's
 /// activity. The replay spans max(last trace cycle + 1, min_total_cycles)
-/// cycles; the tail beyond the last access follows the gating controller
-/// like any other idle stretch. Resets `source` before replaying (and
-/// leaves it exhausted), so back-to-back evaluations of different pools on
-/// one source are independent.
+/// cycles; every bank starts powered at cycle 0, and the tail beyond its
+/// last access follows the gating controller like any other idle stretch.
+/// Stable sources replay as contiguous parallel shards (default job
+/// count), others on one job; the global cancellation token is polled at
+/// chunk boundaries. Resets `source` before replaying (and leaves it
+/// exhausted), so back-to-back evaluations of different pools on one
+/// source are independent.
 std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const AddressMap& map, TraceSource& source,
                                                const HybridGatingParams& gating,

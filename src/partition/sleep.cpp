@@ -55,9 +55,25 @@ SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const Addr
         states[b].leak_pj += states[b].asleep ? nominal * sleep.sleep_leak_factor : nominal;
     };
 
+    // A bank whose idle threshold passed before `now` goes to sleep at
+    // last_access + idle_cycles. Settling it only when it is next touched
+    // (and at the close-out) accrues the same intervals in the same order
+    // as settling every bank on every access.
+    auto settle = [&](std::size_t b, std::uint64_t now) {
+        BankState& s = states[b];
+        if (!s.asleep && now - s.last_access > sleep.idle_cycles) {
+            const std::uint64_t sleep_start = s.last_access + sleep.idle_cycles;
+            accrue_leak(b, s.awake_since, sleep_start);
+            s.asleep = true;
+            s.awake_since = sleep_start;  // reused as "state since"
+        }
+    };
+
     // Chunked columnar replay: addr, cycle and kind are the only fields
     // this model reads. The state machine carries across chunk boundaries
-    // untouched — the replay is sequential either way.
+    // untouched. It stays sequential: sharding would re-associate the
+    // per-bank double leakage sums.
+    const BankLookup lookup(arch, map);
     std::uint64_t now = 0;
     std::uint64_t accesses = 0;
     source.reset();
@@ -66,25 +82,8 @@ SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const Addr
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             MEMOPT_ASSERT_MSG(chunk.cycles[i] >= now, "trace cycles must be non-decreasing");
             now = chunk.cycles[i];
-            const std::uint64_t phys = map.map_addr(chunk.addrs[i]);
-            const std::size_t block = static_cast<std::size_t>(phys / arch.block_size());
-            const std::size_t bank = arch.bank_of_block(block);
-
-            // Retire sleep transitions for every bank up to `now`. Only the
-            // accessed bank must be exact; the others are settled lazily at
-            // the end and at their own next access — but idle detection
-            // needs the transition point, so settle all banks whose idle
-            // threshold passed.
-            for (std::size_t b = 0; b < num_banks; ++b) {
-                BankState& s = states[b];
-                if (!s.asleep && now > s.last_access + sleep.idle_cycles) {
-                    const std::uint64_t sleep_start = s.last_access + sleep.idle_cycles;
-                    accrue_leak(b, s.awake_since, sleep_start);
-                    s.asleep = true;
-                    s.awake_since = sleep_start;  // reused as "state since"
-                }
-            }
-
+            const std::size_t bank = lookup.bank_of(chunk.addrs[i]);
+            settle(bank, now);
             BankState& s = states[bank];
             if (s.asleep) {
                 // Wake up: close the sleeping interval, pay the wake energy.
@@ -107,13 +106,8 @@ SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const Addr
     // Close out all banks at the final cycle.
     const std::uint64_t end = now + 1;
     for (std::size_t b = 0; b < num_banks; ++b) {
+        settle(b, end);
         BankState& s = states[b];
-        if (!s.asleep && end > s.last_access + sleep.idle_cycles) {
-            const std::uint64_t sleep_start = s.last_access + sleep.idle_cycles;
-            accrue_leak(b, s.awake_since, sleep_start);
-            s.asleep = true;
-            s.awake_since = sleep_start;
-        }
         accrue_leak(b, s.awake_since, end);
         if (s.asleep) stats[b].asleep_cycles += end - s.awake_since;
     }

@@ -57,9 +57,9 @@ struct SleepReport {
 /// sleep controller, chunk by chunk in O(chunk) memory.
 /// `energy_params.extra_pj_per_access` is charged per access exactly as in
 /// the static evaluation; leakage uses the trace's cycle stamps (the last
-/// access's cycle is the run length). The replay is inherently sequential
-/// (the sleep controller is a state machine over cycle time), so chunking
-/// changes nothing. Resets `source` before replaying.
+/// access's cycle is the run length). The replay is sequential, because
+/// sharding it would re-associate the per-bank double leakage sums;
+/// chunking changes nothing. Resets `source` before replaying.
 SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const AddressMap& map,
                                       TraceSource& source,
                                       const PartitionEnergyParams& energy_params,

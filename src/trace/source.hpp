@@ -304,12 +304,15 @@ inline std::vector<std::uint64_t> gather_context(const std::vector<TraceChunk>& 
 /// together; the reduction happens in a fixed task order.
 ///
 /// Parallelism: stable sources replay their zero-copy chunks sharded into
-/// contiguous task ranges (exactly the materialized sharding strategy);
-/// non-stable sources pull chunk copies sequentially and map batches of
-/// them concurrently onto persistent per-slot states. Either way, partial
-/// sums must be exact under reordering — every accumulation in this
-/// repository reduces integer-valued sums, so results are bit-identical at
-/// any job count.
+/// contiguous task ranges (exactly the materialized sharding strategy),
+/// and the partial states are merged in stream order, so `merge(into,
+/// from)` always receives the stretch that directly follows `into`'s.
+/// Non-stable sources pull chunk copies sequentially and deal them
+/// round-robin onto persistent per-slot states, so a slot's chunks are not
+/// contiguous; a fold that needs stream order must pass jobs = 1 for them
+/// (one state, chunks in order). On both paths partial sums must be exact
+/// under reordering — every accumulation in this repository reduces
+/// integer-valued sums, so results are bit-identical at any job count.
 ///
 /// Cancellation: the global CancellationToken is polled at every chunk
 /// boundary on all three execution paths, so a deadline or SIGINT/SIGTERM

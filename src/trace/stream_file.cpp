@@ -11,6 +11,7 @@
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/durable/retry.hpp"
+#include "support/parallel.hpp"
 #include "support/string_util.hpp"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
@@ -75,6 +76,39 @@ void store_u64(std::uint8_t* p, std::uint64_t v) {
 }
 
 std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
+
+/// One-time content validation of block `block`'s column image. Downstream
+/// replay loops (e.g. BlockProfile::from_source) size their buffers from
+/// the header summary and then index them by address without per-access
+/// bounds checks, so besides each record's size and kind this pins every
+/// record's [addr, addr+size-1] inside the header's [min_addr, max_addr].
+/// A block checksum only proves the payload matches its own seal — a
+/// crafted payload with a resealed FNV-1a must fail here with a block
+/// diagnostic, not corrupt memory in a consumer.
+void check_records(std::uint32_t block, const std::uint8_t* image, std::uint32_t n,
+                   const TraceSummary& s) {
+    const auto* a = reinterpret_cast<const std::uint64_t*>(image);
+    const std::uint8_t* sz = image + std::size_t{n} * 20;
+    const std::uint8_t* kd = image + std::size_t{n} * 21;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint8_t size = sz[i];
+        const std::uint8_t kind = kd[i];
+        const std::uint64_t addr = a[i];
+        // Branch first so the happy path never materializes a message.
+        if ((size != 1 && size != 2 && size != 4 && size != 8) || kind > 1) {
+            require(size == 1 || size == 2 || size == 4 || size == 8,
+                    format("stream trace: block %u: record %u has invalid access size %u", block,
+                           i, static_cast<unsigned>(size)));
+            throw Error(
+                format("stream trace: block %u: record %u has invalid access kind", block, i));
+        }
+        if (addr < s.min_addr || addr > s.max_addr || s.max_addr - addr < std::uint64_t{size} - 1) {
+            throw Error(format(
+                "stream trace: block %u: record %u address outside the header summary range",
+                block, i));
+        }
+    }
+}
 
 // Split the raw column image into 4 KiB lines and store each as the
 // smallest of {raw, diff-coded, zero-run-coded}. Line framing: u8 codec id,
@@ -429,7 +463,7 @@ void MmapBinarySource::parse_header() {
                 "stream trace: access count exceeds file size");
     }
     offset_table_ = map_ + kHeaderBytes;
-    verified_.assign(block_count_, false);
+    verified_.assign(block_count_, 0);
 
     const std::uint64_t min_addr = le_u64(map_ + 32);
     const std::uint64_t max_addr = le_u64(map_ + 40);
@@ -496,12 +530,34 @@ const std::uint8_t* MmapBinarySource::validate_block(std::uint32_t block,
     return p + kBlockHeaderBytes;
 }
 
+void MmapBinarySource::verify_ahead(std::uint32_t first) {
+    const auto last = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(block_count_, std::uint64_t{first} + default_jobs()));
+    const TraceSummary& s = summary();
+    parallel_for(last - first, [&](std::size_t k) {
+        const auto b = static_cast<std::uint32_t>(first + k);
+        if (verified_[b]) return;
+        try {
+            std::uint32_t n = 0;
+            std::uint64_t payload_bytes = 0;
+            const std::uint8_t* payload = validate_block(b, &n, &payload_bytes);
+            check_records(b, payload, n, s);
+            verified_[b] = 1;
+        } catch (const Error&) {
+            // Left unverified: next() repeats the check serially when it
+            // reaches this block, so the error surfaces there, with the
+            // same diagnostic, exactly as without the lookahead.
+        }
+    });
+}
+
 bool MmapBinarySource::next(TraceChunk& chunk) {
     if (block_ >= block_count_) {
         chunk = TraceChunk{};
         return false;
     }
     const std::uint32_t b = block_;
+    if (!compressed_ && !verified_[b]) verify_ahead(b);
     std::uint32_t n = 0;
     std::uint64_t payload_bytes = 0;
     const std::uint8_t* payload = validate_block(b, &n, &payload_bytes);
@@ -524,35 +580,8 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
     const auto* kd = reinterpret_cast<const AccessKind*>(image + std::size_t{n} * 21);
 
     if (!verified_[b]) {
-        // Downstream replay loops (e.g. BlockProfile::from_source) size
-        // their buffers from the header summary and then index them by
-        // address without per-access bounds checks, so the one-time
-        // content validation must also pin every record's [addr,
-        // addr+size-1] inside the header's [min_addr, max_addr]. A block
-        // checksum only proves the payload matches its own seal — a
-        // crafted payload with a resealed FNV-1a must fail here with a
-        // block diagnostic, not corrupt memory in a consumer.
-        const TraceSummary& s = summary();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint8_t size = sz[i];
-            const auto kind = static_cast<std::uint8_t>(kd[i]);
-            const std::uint64_t addr = a[i];
-            // Branch first so the happy path never materializes a message.
-            if ((size != 1 && size != 2 && size != 4 && size != 8) || kind > 1) {
-                require(size == 1 || size == 2 || size == 4 || size == 8,
-                        format("stream trace: block %u: record %u has invalid access size %u", b,
-                               i, static_cast<unsigned>(size)));
-                throw Error(
-                    format("stream trace: block %u: record %u has invalid access kind", b, i));
-            }
-            if (addr < s.min_addr || addr > s.max_addr ||
-                s.max_addr - addr < std::uint64_t{size} - 1) {
-                throw Error(format(
-                    "stream trace: block %u: record %u address outside the header summary range",
-                    b, i));
-            }
-        }
-        verified_[b] = true;
+        check_records(b, image, n, summary());
+        verified_[b] = 1;
     }
 
     chunk = TraceChunk(std::uint64_t{b} * chunk_accesses_, std::span(a, n), std::span(cy, n),

@@ -77,9 +77,14 @@ MemTrace read_trace_stream(const std::string& path);
 /// structurally validated, checksum-verified, and content-validated
 /// (access sizes, kinds, and address ranges against the header summary)
 /// before its first delivery, upholding the TraceSource summary contract
-/// even for crafted payloads with resealed checksums. On platforms
-/// without mmap the file is read into memory instead (same semantics, no
-/// longer out-of-core).
+/// even for crafted payloads with resealed checksums. In an uncompressed
+/// container, reaching an unverified block verifies it and the next
+/// default_jobs() - 1 blocks in parallel; a block that fails there stays
+/// unverified and fails serially when next() reaches it, so errors surface
+/// at the same block, after the same chunks, as in a serial read.
+/// Compressed blocks are checked one at a time after decoding. On
+/// platforms without mmap the file is read into memory instead (same
+/// semantics, no longer out-of-core).
 class MmapBinarySource final : public TraceSource {
 public:
     explicit MmapBinarySource(const std::string& path);
@@ -106,6 +111,10 @@ private:
     /// payload pointer. Throws memopt::Error on any corruption.
     const std::uint8_t* validate_block(std::uint32_t block, std::uint32_t* out_count,
                                        std::uint64_t* out_payload_bytes);
+    /// Verify the unverified blocks of [first, first + default_jobs()) in
+    /// parallel (uncompressed containers). A block that fails stays
+    /// unverified, for next() to fail on when it gets there.
+    void verify_ahead(std::uint32_t first);
 
     std::string path_;
     // Mapping (or fallback buffer when mmap is unavailable).
@@ -120,7 +129,9 @@ private:
     std::uint32_t block_count_ = 0;
     bool compressed_ = false;
     const std::uint8_t* offset_table_ = nullptr;
-    std::vector<bool> verified_;        ///< per-block one-time validation
+    /// Per-block one-time validation flags (bytes, not vector<bool>: the
+    /// lookahead sets neighbouring flags from several threads).
+    std::vector<std::uint8_t> verified_;
     std::vector<std::uint64_t> decoded_;  ///< 8-aligned decode buffer
     std::uint32_t block_ = 0;           ///< cursor
 };

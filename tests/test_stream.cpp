@@ -17,6 +17,7 @@
 #include "core/workload.hpp"
 #include "partition/sleep.hpp"
 #include "support/assert.hpp"
+#include "support/durable/io_faults.hpp"
 #include "support/parallel.hpp"
 #include "trace/affinity.hpp"
 #include "trace/io.hpp"
@@ -678,6 +679,94 @@ TEST_F(StreamFuzzTest, InvalidKindByteRejectedEvenWithValidChecksum) {
     const std::size_t payload_bytes = bytes.size() - payload_off;
     store_le64(bytes, block_off + 16, test_fnv1a(bytes.data() + payload_off, payload_bytes));
     expect_rejected(bytes);
+}
+
+// ------------------------------------------- parallel block lookahead ----
+
+// next() verifies the blocks ahead of the cursor in parallel. A block that
+// fails there must still fail exactly where a serial reader would: after
+// the blocks before it were delivered, with its own block number.
+class StreamLookaheadTest : public StreamFuzzTest {
+protected:
+    static constexpr std::size_t kBlocks = 10;
+    static constexpr std::size_t kChunk = 256;
+    static constexpr std::uint32_t kBad = 5;
+
+    void TearDown() override {
+        set_default_jobs(0);
+        set_io_faults(IoFaultSpec{});
+        StreamFuzzTest::TearDown();
+    }
+
+    /// A valid kBlocks-block container; ctest runs the cases in parallel,
+    /// so each names its own file.
+    std::vector<std::uint8_t> container(const std::string& name) {
+        return valid_container(name, kBlocks * kChunk, kChunk);
+    }
+
+    static std::size_t block_offset(const std::vector<std::uint8_t>& bytes, std::uint32_t b) {
+        const std::size_t entry = 64 + 8 * std::size_t{b};
+        std::uint64_t off = 0;
+        for (std::size_t i = 8; i-- > 0;) off = (off << 8) | bytes[entry + i];
+        return static_cast<std::size_t>(off);
+    }
+
+    /// At jobs 1 and 4: exactly kBad chunks come out, then next() throws
+    /// the block-kBad diagnostic.
+    void expect_fails_at_bad_block(const std::vector<std::uint8_t>& bytes) {
+        spit(file_, bytes);
+        for (const std::size_t jobs : {1, 4}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs));
+            set_default_jobs(jobs);
+            MmapBinarySource source(file_);
+            ASSERT_EQ(source.block_count(), kBlocks);
+            TraceChunk chunk;
+            std::size_t delivered = 0;
+            try {
+                while (source.next(chunk)) ++delivered;
+                ADD_FAILURE() << "corrupt block not detected";
+            } catch (const Error& e) {
+                EXPECT_NE(std::string(e.what()).find("block 5:"), std::string::npos)
+                    << e.what();
+            }
+            EXPECT_EQ(delivered, kBad);
+        }
+    }
+};
+
+TEST_F(StreamLookaheadTest, FlippedPayloadByteFailsAtItsBlock) {
+    auto bytes = container("lookahead_flip.mtsc");
+    bytes[block_offset(bytes, kBad) + 24 + 100] ^= 0x10;
+    expect_fails_at_bad_block(bytes);
+}
+
+TEST_F(StreamLookaheadTest, ResealedOutOfSummaryAddressFailsAtItsBlock) {
+    auto bytes = container("lookahead_addr.mtsc");
+    const std::size_t block_off = block_offset(bytes, kBad);
+    const std::size_t payload_off = block_off + 24;
+    store_le64(bytes, payload_off + 8 * 9, std::uint64_t{1} << 50);  // addrs[9]
+    store_le64(bytes, block_off + 16,
+               test_fnv1a(bytes.data() + payload_off, kChunk * 22));
+    expect_fails_at_bad_block(bytes);
+}
+
+TEST_F(StreamLookaheadTest, FaultedReadDeliversTheSameChunks) {
+    container("lookahead_faults.mtsc");
+    set_default_jobs(1);
+    MmapBinarySource clean_source(file_);
+    const MemTrace clean = drain(clean_source);
+    const IoFaultSpec faults = parse_io_fault_spec("7,0.3");
+    set_io_faults(faults);
+    std::size_t faulted_blocks = 0;
+    for (std::uint32_t b = 0; b < kBlocks; ++b)
+        faulted_blocks += io_faults().should_fail("mtsc.block", b, 0) ? 1 : 0;
+    ASSERT_GT(faulted_blocks, 0u);  // the retries really run
+    for (const std::size_t jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        set_default_jobs(jobs);
+        MmapBinarySource source(file_);
+        expect_traces_equal(drain(source), clean);
+    }
 }
 
 // ------------------------------------------------------- mtrc streaming ----
