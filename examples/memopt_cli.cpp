@@ -7,8 +7,9 @@
 //   memopt_cli disasm <kernel>
 //   memopt_cli cc <file.arc> [--emit asm|run]
 //   memopt_cli trace <source> <out-file>          (.mtsc = stream container,
-//                        .mtrc = binary, else text; `source` is a kernel, a
-//                        trace file, or "synthetic:<kind>[,k=v]...")
+//                        else text; `source` is a kernel, a trace file, or
+//                        "synthetic:<kind>[,k=v]..."; a retired format
+//                        is refused with the command that converts it)
 //   memopt_cli partition <source> [--banks N] [--block BYTES]
 //                        [--cluster none|frequency|affinity] [--chunk-size N]
 //                        (`--trace-stream SPEC` is a synonym for <source>)
@@ -32,8 +33,8 @@
 // fully serial). Results are bit-identical at any job count.
 //
 // `partition <source>` (or `partition --trace-stream <source>`) replays a
-// chunked trace stream — a synthetic: spec, an .mtsc (mmapped) or .mtrc
-// file, a text trace, or a kernel — without materializing it where the
+// chunked trace stream — a synthetic: spec, an .mtsc (mmapped) file, a
+// text trace, or a kernel — without materializing it where the
 // format allows: out-of-core traces run in O(chunk) memory and the report
 // is bit-identical at any --jobs and any --chunk-size.
 //
@@ -198,7 +199,7 @@ int usage() {
               "  disasm <kernel>                        annotated program listing\n"
               "  cc <file.arc> [--emit asm|run]         compile arclang and emit/run\n"
               "  trace <source> <file>                  dump a data trace; source is a\n"
-              "        [--trace-format mtsc|bin|text]   kernel, a trace file, or\n"
+              "        [--trace-format mtsc|text]       kernel, a trace file, or\n"
               "        [--chunk-size N] [--compress 1]  synthetic:<kind>[,k=v]...\n"
               "  partition <source> [--banks N] [--block BYTES]\n"
               "            [--cluster none|frequency|affinity]\n"
@@ -378,22 +379,23 @@ int cmd_cc(const Args& args) {
 int cmd_trace(const Args& args) {
     usage_require(args.positional.size() >= 2, "trace: need <source> <file>");
     const std::string& out = args.positional[1];
+    try {
+        reject_retired_trace_format(out);
+    } catch (const Error& e) {
+        throw UsageError(e.what());
+    }
     const std::int64_t chunk = args.get_int("chunk-size", 0);
     usage_require(chunk >= 0, "trace: --chunk-size expects a non-negative count");
+    std::string fmt = args.get("trace-format", "");
+    if (fmt.empty()) fmt = out.ends_with(".mtsc") ? "mtsc" : "text";
+    usage_require(fmt == "mtsc" || fmt == "text", "trace: --trace-format must be mtsc or text");
     // The source is never materialized: a synthetic:... spec of 10^8
     // accesses streams straight into the output file in O(chunk) memory.
     const std::unique_ptr<TraceSource> source =
         WorkloadRepository::instance().open_trace_source(args.positional[0],
                                                          static_cast<std::size_t>(chunk));
 
-    const auto ends_with = [&](const char* suffix) {
-        const std::string s(suffix);
-        return out.size() >= s.size() && out.compare(out.size() - s.size(), s.size(), s) == 0;
-    };
-    std::string fmt = args.get("trace-format", "");
-    if (fmt.empty()) fmt = ends_with(".mtsc") ? "mtsc" : ends_with(".mtrc") ? "bin" : "text";
-
-    if (fmt == "mtsc" || fmt == "mmap") {
+    if (fmt == "mtsc") {
         StreamWriteOptions opts;
         if (chunk > 0) opts.chunk_accesses = static_cast<std::size_t>(chunk);
         opts.compress = args.get_int("compress", 0) != 0;
@@ -403,20 +405,13 @@ int cmd_trace(const Args& args) {
                     opts.compress ? ", compressed" : "");
         return 0;
     }
-    usage_require(fmt == "bin" || fmt == "mtrc" || fmt == "text",
-                  "trace: --trace-format must be mtsc, bin or text");
-    const bool binary = fmt != "text";
-    atomic_write(
-        out,
-        [&](std::ostream& os) {
-            source->reset();  // commit retries re-run the body from the start
-            if (binary) write_trace_binary(os, *source);
-            else write_trace_text(os, *source);
-            require(os.good(), "trace: write failed for '" + out + "'");
-        },
-        binary ? std::ios::binary : std::ios_base::openmode{});
-    std::printf("wrote %llu accesses to %s (%s)\n", (unsigned long long)source->size(),
-                out.c_str(), binary ? "binary" : "text");
+    atomic_write(out, [&](std::ostream& os) {
+        source->reset();  // commit retries re-run the body from the start
+        write_trace_text(os, *source);
+        require(os.good(), "trace: write failed for '" + out + "'");
+    });
+    std::printf("wrote %llu accesses to %s (text)\n", (unsigned long long)source->size(),
+                out.c_str());
     return 0;
 }
 

@@ -82,7 +82,6 @@ std::unique_ptr<TraceSource> WorkloadRepository::open_trace_source(
             parse_synthetic_spec(spec.substr(std::string("synthetic:").size())),
             chunk_accesses);
     if (ends_with(".mtsc")) return std::make_unique<MmapBinarySource>(spec);
-    if (ends_with(".mtrc")) return std::make_unique<BinaryFileSource>(spec, chunk_accesses);
     if (spec.find('.') != std::string::npos || spec.find('/') != std::string::npos)
         return std::make_unique<MaterializedSource>(
             std::make_shared<const MemTrace>(load_trace(spec)), chunk_accesses);

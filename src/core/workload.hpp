@@ -69,8 +69,8 @@ public:
     ///
     ///   "synthetic:<kind>[,k=v]..."  on-the-fly generator, never materialized
     ///   "*.mtsc"                     memory-mapped stream container
-    ///   "*.mtrc"                     chunked reader over the binary format
-    ///   contains '.' or '/'          text/binary trace file, materialized
+    ///   contains '.' or '/'          text trace file, materialized (a
+    ///                                retired binary format is an Error)
     ///   anything else                bundled kernel (cached artifact; the
     ///                                source aliases it, no trace copy)
     ///

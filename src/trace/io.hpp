@@ -1,14 +1,15 @@
-// Trace (de)serialization.
+// Trace (de)serialization in the text exchange format.
 //
 // Lets external simulators feed traces into memopt and lets long traces be
-// captured once and replayed across experiments. Two formats:
+// captured once and replayed across experiments. Text is the exchange
+// format: one access per line, "R|W <hex addr> <size> <cycle> <hex value>".
+// It is human-readable and diffable; columns after addr are optional on
+// input (defaults: size 4, cycle 0, value 0). '#' starts a comment.
 //
-//  * text  — one access per line: "R|W <hex addr> <size> <cycle> <hex value>".
-//            Human-readable/diffable; columns after addr are optional on
-//            input (defaults: size 4, cycle 0, value 0). '#' starts a
-//            comment.
-//  * binary — "MTRC" magic, u32 version, u64 count, then packed records.
-//             Compact and fast; fixed little-endian layout.
+// The one binary format is the ".mtsc" block container
+// (trace/stream_file.hpp), which also streams, mmaps and checksums. The
+// row-wise ".mtrc" format is retired: nothing reads or writes it, and a
+// path naming one is an error that says how to convert the file.
 #pragma once
 
 #include <iosfwd>
@@ -32,18 +33,12 @@ void write_trace_text(std::ostream& os, TraceSource& source);
 /// malformed record.
 MemTrace read_trace_text(std::istream& is);
 
-/// Write `trace` in the binary format.
-void write_trace_binary(std::ostream& os, const MemTrace& trace);
+/// Throws memopt::Error if `path` names a retired trace format (".mtrc").
+/// The message names ".mtsc" and the command that converts the file.
+void reject_retired_trace_format(const std::string& path);
 
-/// Streaming variant of the binary writer (see write_trace_text above).
-void write_trace_binary(std::ostream& os, TraceSource& source);
-
-/// Read the binary format. Throws memopt::Error on bad magic/version or a
-/// truncated stream.
-MemTrace read_trace_binary(std::istream& is);
-
-/// Convenience file wrappers (throw memopt::Error if the file cannot be
-/// opened). The format is chosen by extension: ".mtrc" binary, else text.
+/// Text-format file wrappers. Throw memopt::Error if the file cannot be
+/// opened or if `path` names a retired format (reject_retired_trace_format).
 void save_trace(const std::string& path, const MemTrace& trace);
 MemTrace load_trace(const std::string& path);
 

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "compress/bdi_codec.hpp"
@@ -21,6 +24,7 @@
 #include "sim/cpu.hpp"
 #include "support/rng.hpp"
 #include "trace/io.hpp"
+#include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -289,37 +293,62 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FrontEndFuzz, ::testing::Range<std::uint64_t>(1,
 
 // ---- trace-reader robustness fuzzing ------------------------------------
 
-/// Corrupted trace streams fed to both readers: serialize a valid trace,
-/// flip random bytes / truncate at random offsets, and require that parsing
+/// Corrupted traces fed to both readers: serialize a valid trace, flip
+/// random bytes / truncate at random offsets, and require that reading
 /// either succeeds or throws memopt::Error — never crashes, hangs, or
 /// attempts an unbounded allocation.
 class TraceIoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Keeps the fuzz drain's column reads from being optimized away.
+volatile std::uint64_t g_fuzz_sink = 0;
 
 TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
     Rng rng(GetParam() * 52711 + 11);
     SyntheticParams sp;
     sp.span_bytes = 4096;
-    sp.num_accesses = 64;
+    sp.num_accesses = 256;
     sp.seed = GetParam();
-    std::stringstream ss;
-    write_trace_binary(ss, uniform_trace(sp));
-    const std::string pristine = ss.str();
+    const MemTrace trace = uniform_trace(sp);
+    const std::string file =
+        ::testing::TempDir() + "memopt_fuzz_" + std::to_string(GetParam()) + ".mtsc";
+    const auto slurp = [&] {
+        std::ifstream is(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(is), {});
+    };
 
-    for (int trial = 0; trial < 200; ++trial) {
-        std::string bytes = pristine;
-        const std::size_t flips = 1 + rng.next_below(8);
-        for (std::size_t f = 0; f < flips; ++f)
-            bytes[rng.next_below(bytes.size())] ^=
-                static_cast<char>(1 + rng.next_below(255));
-        if (rng.next_below(4) == 0) bytes.resize(rng.next_below(bytes.size() + 1));
-        std::stringstream corrupted(bytes);
-        try {
-            read_trace_binary(corrupted);
-        } catch (const Error&) {
-            // rejected cleanly: fine
+    // Four blocks per container, so the offset table and later blocks are
+    // in reach of the flips too.
+    for (const bool compress : {false, true}) {
+        SCOPED_TRACE(compress ? "compressed" : "uncompressed");
+        write_trace_stream(file, trace, {.chunk_accesses = 64, .compress = compress});
+        const std::string pristine = slurp();
+        for (int trial = 0; trial < 200; ++trial) {
+            std::string bytes = pristine;
+            const std::size_t flips = 1 + rng.next_below(8);
+            for (std::size_t f = 0; f < flips; ++f)
+                bytes[rng.next_below(bytes.size())] ^=
+                    static_cast<char>(1 + rng.next_below(255));
+            if (rng.next_below(4) == 0) bytes.resize(rng.next_below(bytes.size() + 1));
+            std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+            try {
+                MmapBinarySource source(file);
+                TraceChunk chunk;
+                std::uint64_t delivered = 0;
+                std::uint64_t sum = 0;  // touches every delivered column entry
+                while (source.next(chunk)) {
+                    delivered += chunk.size();
+                    for (std::size_t i = 0; i < chunk.size(); ++i)
+                        sum += chunk.addrs[i] ^ chunk.cycles[i] ^ chunk.values[i] ^
+                               chunk.sizes[i] ^ static_cast<std::uint64_t>(chunk.kinds[i]);
+                }
+                EXPECT_EQ(delivered, source.size()) << "trial " << trial;
+                g_fuzz_sink = sum;
+            } catch (const Error&) {
+                // rejected cleanly: fine
+            }
         }
     }
-    SUCCEED();
+    std::remove(file.c_str());
 }
 
 TEST_P(TraceIoFuzz, TextReaderSurvivesCorruption) {

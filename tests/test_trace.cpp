@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -308,21 +309,6 @@ TEST(TraceIo, TextRoundTrip) {
     expect_traces_equal(t, read_trace_text(ss));
 }
 
-TEST(TraceIo, BinaryRoundTrip) {
-    const MemTrace t = sample_trace();
-    std::stringstream ss;
-    write_trace_binary(ss, t);
-    expect_traces_equal(t, read_trace_binary(ss));
-}
-
-TEST(TraceIo, BinaryRoundTripLargeRandom) {
-    const MemTrace t = uniform_trace({.span_bytes = 65536, .num_accesses = 5000,
-                                      .write_fraction = 0.4, .seed = 77});
-    std::stringstream ss;
-    write_trace_binary(ss, t);
-    expect_traces_equal(t, read_trace_binary(ss));
-}
-
 TEST(TraceIo, TextAcceptsShortRecordsAndComments) {
     std::stringstream ss("# header\nR 0x100\nW 0x104 2\nR 0x108 4 99  # inline\n");
     const MemTrace t = read_trace_text(ss);
@@ -339,16 +325,6 @@ TEST(TraceIo, TextRejectsMalformedRecords) {
     EXPECT_THROW(read_trace_text(bad_addr), Error);
     std::stringstream bad_size("R 0x100 3\n");
     EXPECT_THROW(read_trace_text(bad_size), Error);
-}
-
-TEST(TraceIo, BinaryRejectsBadMagicAndTruncation) {
-    std::stringstream bad("NOPE");
-    EXPECT_THROW(read_trace_binary(bad), Error);
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    const std::string full = ss.str();
-    std::stringstream truncated(full.substr(0, full.size() - 3));
-    EXPECT_THROW(read_trace_binary(truncated), Error);
 }
 
 TEST(TraceIo, TextRejectsValueOutOfRange) {
@@ -371,61 +347,21 @@ TEST(TraceIo, TextRejectsValueOutOfRange) {
     }
 }
 
-TEST(TraceIo, BinaryRejectsInvalidAccessSize) {
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    std::string bytes = ss.str();
-    // Layout: 16-byte header (magic, version, count), then 24-byte records
-    // of addr(8) cycle(8) value(4) meta(4). The size field is the low byte
-    // of the first record's meta word, at offset 36.
-    ASSERT_GE(bytes.size(), 40u);
-    bytes[36] = 3;  // not in {1, 2, 4, 8}
-    std::stringstream corrupted(bytes);
-    try {
-        read_trace_binary(corrupted);
-        FAIL() << "expected Error";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("invalid access size"), std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(TraceIo, BinaryRejectsUnknownMetaBits) {
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    std::string bytes = ss.str();
-    ASSERT_GE(bytes.size(), 40u);
-    bytes[38] = 0x40;  // meta bits above the size/kind fields
-    std::stringstream corrupted(bytes);
-    EXPECT_THROW(read_trace_binary(corrupted), Error);
-}
-
-TEST(TraceIo, BinaryHugeCountHeaderFailsFast) {
-    // A corrupt header advertising ~10^18 records must not drive an
-    // up-front multi-GiB reserve; it has to fail on the first missing
-    // record instead. If the reserve cap regressed, this test would die on
-    // allocation long before the EXPECT_THROW.
-    std::string bytes = "MTRC";
-    bytes += std::string(1, '\x01') + std::string(3, '\x00');  // version 1 LE
-    bytes += std::string(7, '\xFF') + std::string(1, '\x0F');  // count = 2^60-ish
-    std::stringstream corrupted(bytes);
-    EXPECT_THROW(read_trace_binary(corrupted), Error);
-}
-
 TEST(TraceIo, FileSaveLoadBothFormats) {
     const MemTrace t = sample_trace();
     const std::string text_path = ::testing::TempDir() + "memopt_trace_test.txt";
-    const std::string bin_path = ::testing::TempDir() + "memopt_trace_test.mtrc";
     save_trace(text_path, t);
-    save_trace(bin_path, t);
     expect_traces_equal(t, load_trace(text_path));
-    expect_traces_equal(t, load_trace(bin_path));
     std::remove(text_path.c_str());
-    std::remove(bin_path.c_str());
+    // The retired row-wise format is refused before anything is written.
+    const std::string retired = ::testing::TempDir() + "memopt_trace_test.mtrc";
+    std::remove(retired.c_str());
+    EXPECT_THROW(save_trace(retired, t), Error);
+    EXPECT_FALSE(std::filesystem::exists(retired));
 }
 
 TEST(TraceIo, LoadMissingFileThrows) {
-    EXPECT_THROW(load_trace("/nonexistent/path/trace.mtrc"), Error);
+    EXPECT_THROW(load_trace("/nonexistent/path/trace.txt"), Error);
 }
 
 
@@ -522,9 +458,9 @@ TEST(SoaLayout, ColumnsAgreeWithAccessView) {
     }
 }
 
-// Round-trip through both I/O formats: a trace rebuilt row-by-row through
+// Round-trip through the text format: a trace rebuilt row-by-row through
 // the AoS add() API serializes and deserializes to the same columns as the
-// SoA original — the storage layout is invisible to the formats.
+// SoA original — the storage layout is invisible to the format.
 TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
     const MemTrace soa = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
                                         .write_fraction = 0.4, .seed = 10});
@@ -536,12 +472,6 @@ TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
     write_trace_text(text_aos, aos);
     EXPECT_EQ(text_soa.str(), text_aos.str());
     expect_traces_equal(soa, read_trace_text(text_soa));
-
-    std::stringstream bin_soa, bin_aos;
-    write_trace_binary(bin_soa, soa);
-    write_trace_binary(bin_aos, aos);
-    EXPECT_EQ(bin_soa.str(), bin_aos.str());
-    expect_traces_equal(soa, read_trace_binary(bin_soa));
 }
 
 TEST(SoaLayout, FromColumnsMatchesAddAndValidates) {
