@@ -22,6 +22,17 @@ CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
     ways_.assign(sets_ * config.associativity, Way{});
 }
 
+CacheStats& CacheStats::operator+=(const CacheStats& other) {
+    read_hits += other.read_hits;
+    read_misses += other.read_misses;
+    write_hits += other.write_hits;
+    write_misses += other.write_misses;
+    fills += other.fills;
+    writebacks += other.writebacks;
+    write_throughs += other.write_throughs;
+    return *this;
+}
+
 std::uint64_t CacheModel::line_base(std::uint64_t addr) const {
     return addr & ~static_cast<std::uint64_t>(config_.line_bytes - 1);
 }
@@ -201,6 +212,29 @@ void CacheModel::reset() {
     // reset() diverges from a fresh model as soon as a random victim is
     // drawn (the stream would continue where the previous run left off).
     rng_state_ = kRngSeed;
+}
+
+CacheModel CacheModel::fork() const {
+    CacheModel copy(*this);
+    copy.stats_ = CacheStats{};
+    return copy;
+}
+
+void CacheModel::merge_forks(std::span<const CacheModel* const> forks) {
+    const std::size_t shards = forks.size();
+    MEMOPT_ASSERT(std::has_single_bit(shards) && sets_ % shards == 0);
+    MEMOPT_ASSERT(config_.replacement != Replacement::Random);
+    const std::uint64_t fork_tick = tick_;
+    const std::size_t ways = config_.associativity;
+    for (std::size_t k = 0; k < shards; ++k) {
+        const CacheModel& fork = *forks[k];
+        MEMOPT_ASSERT(fork.sets_ == sets_ && fork.tick_ >= fork_tick);
+        for (std::size_t set = k; set < sets_; set += shards)
+            std::copy_n(fork.ways_.begin() + static_cast<std::ptrdiff_t>(set * ways), ways,
+                        ways_.begin() + static_cast<std::ptrdiff_t>(set * ways));
+        stats_ += fork.stats_;
+        tick_ += fork.tick_ - fork_tick;
+    }
 }
 
 }  // namespace memopt

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -49,6 +50,7 @@ struct CacheStats {
     std::uint64_t write_throughs = 0;  ///< accesses forwarded by write-through
 
     bool operator==(const CacheStats&) const = default;
+    CacheStats& operator+=(const CacheStats& other);
 
     std::uint64_t accesses() const {
         return read_hits + read_misses + write_hits + write_misses;
@@ -71,8 +73,10 @@ struct CacheAccessResult {
     std::optional<std::uint64_t> evicted_line;
 };
 
-/// The cache model (true LRU replacement).
-class CacheModel {
+/// The cache model (true LRU replacement). Cache-line aligned: a
+/// set-sharded replay (cache/mcache.hpp) updates the models of different
+/// shards from different threads, and their counters must not share a line.
+class alignas(64) CacheModel {
 public:
     explicit CacheModel(const CacheConfig& config);
 
@@ -116,6 +120,19 @@ public:
 
     /// Line base address of `addr` under this geometry.
     std::uint64_t line_base(std::uint64_t addr) const;
+
+    /// Copy for one shard of a set-sharded replay: the same lines, dirty
+    /// bits and replacement clock, with zeroed statistics.
+    CacheModel fork() const;
+
+    /// Fold back the forks of a set-sharded replay, all taken from this
+    /// unchanged model. Fork k owns the sets s with s % forks.size() == k
+    /// (forks.size() a power of two dividing the set count) and hands over
+    /// their ways. Statistics add up in fork order, and the replacement
+    /// clock advances by the sum of the forks' ticks, so the age order
+    /// inside every set is exactly the one a serial replay leaves. Random
+    /// replacement cannot be sharded: one RNG couples all sets.
+    void merge_forks(std::span<const CacheModel* const> forks);
 
 private:
     struct Way {

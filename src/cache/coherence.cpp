@@ -21,6 +21,16 @@ const char* msi_state_name(MsiState state) {
     return "?";
 }
 
+CoherenceStats& CoherenceStats::operator+=(const CoherenceStats& other) {
+    lookups += other.lookups;
+    upgrades += other.upgrades;
+    downgrades += other.downgrades;
+    owner_flushes += other.owner_flushes;
+    invalidations += other.invalidations;
+    evictions += other.evictions;
+    return *this;
+}
+
 MsiDirectory::MsiDirectory(unsigned cores) : cores_(cores) {
     require(cores >= 1 && cores <= 64,
             "MsiDirectory: core count must be in [1, 64] (sharer bitset width)");
@@ -130,6 +140,31 @@ std::vector<std::pair<std::uint64_t, DirectoryLine>> MsiDirectory::snapshot() co
     std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     return out;
+}
+
+MsiDirectory MsiDirectory::fork(unsigned shard, unsigned shards,
+                                unsigned line_bytes) const {
+    MsiDirectory out(cores_);
+    // memopt-lint: order-independent -- copies each unique key once; the
+    // fork's contents do not depend on the traversal order.
+    for (const auto& [addr, entry] : entries_)
+        if ((addr / line_bytes) % shards == shard) out.entries_.emplace(addr, entry);
+    return out;
+}
+
+void MsiDirectory::merge_forks(std::span<const MsiDirectory* const> forks) {
+    entries_.clear();
+    for (const MsiDirectory* fork : forks) {
+        // memopt-lint: order-independent -- the forks hold disjoint keys, so
+        // the merged map's contents do not depend on the traversal order;
+        // its iteration order is never observable (snapshot() sorts,
+        // total_sharers() is an integer sum).
+        for (const auto& [addr, entry] : fork->entries_) {
+            const bool fresh = entries_.emplace(addr, entry).second;
+            MEMOPT_ASSERT_MSG(fresh, "MsiDirectory: forks must hold disjoint lines");
+        }
+        stats_ += fork->stats_;
+    }
 }
 
 }  // namespace memopt

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,6 +86,8 @@ struct CoherenceStats {
     std::uint64_t messages() const { return invalidations + downgrades; }
     /// Dirty-line payloads pushed to L2 by the protocol (not by capacity).
     std::uint64_t dirty_transfers() const { return downgrades + owner_flushes; }
+
+    CoherenceStats& operator+=(const CoherenceStats& other);
 };
 
 /// The MSI directory. Supports up to 64 cores (sharer bitset width).
@@ -126,6 +129,16 @@ public:
     /// Deterministic (address-sorted) snapshot of every tracked line, for
     /// invariant checks and reports.
     std::vector<std::pair<std::uint64_t, DirectoryLine>> snapshot() const;
+
+    /// Copy for one shard of a set-sharded replay: the entries of the lines
+    /// whose index (address / line_bytes) is `shard` mod `shards`, with
+    /// zeroed statistics.
+    MsiDirectory fork(unsigned shard, unsigned shards, unsigned line_bytes) const;
+
+    /// Fold back the forks of a set-sharded replay, all taken from this
+    /// unchanged directory. The forks partition the lines, so their
+    /// entries replace this directory's; statistics add up in fork order.
+    void merge_forks(std::span<const MsiDirectory* const> forks);
 
 private:
     unsigned owner_of(const DirectoryLine& entry) const;

@@ -1,11 +1,14 @@
 #include "cache/mcache.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 
 #include "energy/dram_model.hpp"
 #include "energy/sram_model.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
@@ -90,48 +93,277 @@ void MultiCoreCacheSystem::access(unsigned core, std::uint64_t addr, AccessKind 
     apply_actions(line, actions);
 }
 
-void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> sources) {
-    require(sources.size() == config_.cores,
-            "MultiCoreCacheSystem::replay: need exactly one trace source per core");
+namespace {
+
+/// Deal slots of a sharded replay and the bytes of line accesses one slot
+/// holds over all shard batches: together they bound replay memory
+/// independently of trace length, and they are how far the other shards
+/// may run ahead of one that a preempted thread holds.
+constexpr std::size_t kDealSlots = 8;
+constexpr std::size_t kSlotBytes = std::size_t{1} << 18;
+
+/// Shards per job. More shards than threads let the free threads even out
+/// uneven shard loads and pick up the work of a preempted one.
+constexpr std::size_t kShardsPerJob = 4;
+
+/// Most L1 lines one access covers: a 255-byte access over 4-byte lines.
+constexpr std::size_t kMaxLinesPerAccess = 255 / 4 + 2;
+
+struct LineAccess {
+    std::uint64_t addr;
+    unsigned core;
+    AccessKind kind;
+};
+
+/// Progress of one replay shard, on its own cache line, so that threads
+/// replaying different shards never write to the same line.
+struct alignas(64) ShardProgress {
+    std::atomic<std::size_t> replayed{0};  ///< dealt groups replayed, in order
+    std::atomic<bool> held{false};         ///< a thread is replaying the shard
+};
+
+// Fixed round-robin arbitration over one trace stream per core: core 0
+// access k, core 1 access k, ..., skipping exhausted streams, independent
+// of chunk geometry. Each access is split into the L1 lines it covers.
+class RoundRobin {
+public:
+    RoundRobin(std::span<const std::unique_ptr<TraceSource>> sources, std::uint64_t line_bytes)
+        : sources_(sources), cursors_(sources.size()), line_bytes_(line_bytes) {
+        for (std::size_t c = 0; c < sources_.size(); ++c) {
+            sources_[c]->reset();
+            advance(c);
+            if (!cursors_[c].done) ++live_;
+        }
+    }
+
+    /// Hand every line access of the next access in arbitration order to
+    /// fn(core, addr, kind); false once all streams are exhausted.
+    template <typename Fn>
+    bool next(Fn&& fn) {
+        if (live_ == 0) return false;
+        while (cursors_[core_].done) step();
+        Cursor& cur = cursors_[core_];
+        const auto core = static_cast<unsigned>(core_);
+        const std::uint64_t addr = cur.chunk.addrs[cur.i];
+        const AccessKind kind = cur.chunk.kinds[cur.i];
+        const std::uint64_t last =
+            addr + std::max<std::uint64_t>(cur.chunk.sizes[cur.i], 1) - 1;
+        fn(core, addr, kind);
+        for (std::uint64_t a = (addr & ~(line_bytes_ - 1)) + line_bytes_; a <= last;
+             a += line_bytes_)
+            fn(core, a, kind);
+        ++cur.i;
+        advance(core_);
+        if (cur.done) --live_;
+        step();
+        return true;
+    }
+
+private:
     struct Cursor {
         TraceChunk chunk;
         std::size_t i = 0;
         bool done = false;
     };
-    std::vector<Cursor> cursors(sources.size());
-    const auto advance = [&](unsigned c) {
-        Cursor& cur = cursors[c];
+
+    void advance(std::size_t c) {
+        Cursor& cur = cursors_[c];
         while (!cur.done && cur.i >= cur.chunk.size()) {
             cur.i = 0;
-            if (!sources[c]->next(cur.chunk)) cur.done = true;
+            if (!sources_[c]->next(cur.chunk)) cur.done = true;
         }
-    };
-    for (unsigned c = 0; c < sources.size(); ++c) {
-        sources[c]->reset();
-        advance(c);
     }
 
-    const std::uint64_t line = config_.l1.line_bytes;
-    bool live = true;
-    while (live) {
-        live = false;
-        // Fixed arbitration order: one access per live core per turn, in
-        // core order — independent of chunk geometry and job count.
-        for (unsigned c = 0; c < sources.size(); ++c) {
-            Cursor& cur = cursors[c];
-            if (cur.done) continue;
-            const std::uint64_t addr = cur.chunk.addrs[cur.i];
-            const AccessKind kind = cur.chunk.kinds[cur.i];
-            const std::uint64_t last =
-                addr + std::max<std::uint64_t>(cur.chunk.sizes[cur.i], 1) - 1;
-            access(c, addr, kind);
-            for (std::uint64_t a = l1s_[c].line_base(addr) + line; a <= last; a += line)
-                access(c, a, kind);
-            ++cur.i;
-            advance(c);
-            live = true;
-        }
+    void step() { core_ = core_ + 1 == cursors_.size() ? 0 : core_ + 1; }
+
+    std::span<const std::unique_ptr<TraceSource>> sources_;
+    std::vector<Cursor> cursors_;
+    std::uint64_t line_bytes_;
+    std::size_t core_ = 0;
+    std::size_t live_ = 0;
+};
+
+}  // namespace
+
+unsigned MultiCoreCacheSystem::replay_shards() const {
+    // Random replacement draws every victim of a cache from one RNG, which
+    // couples all of its sets; a nested parallel region would run the
+    // shards inline anyway.
+    const std::size_t jobs = default_jobs();
+    if (jobs == 1 || config_.l1.replacement == Replacement::Random ||
+        config_.l2_bank.replacement == Replacement::Random || in_parallel_region())
+        return 1;
+    return static_cast<unsigned>(std::bit_floor(std::min(
+        {kShardsPerJob * jobs, l1s_.front().num_sets(), l2_banks_.front().num_sets()})));
+}
+
+MultiCoreCacheSystem MultiCoreCacheSystem::fork(unsigned shard, unsigned shards) const {
+    MultiCoreCacheSystem out(config_);
+    for (unsigned c = 0; c < config_.cores; ++c) out.l1s_[c] = l1s_[c].fork();
+    for (unsigned b = 0; b < config_.l2_banks; ++b) out.l2_banks_[b] = l2_banks_[b].fork();
+    out.directory_ = directory_.fork(shard, shards, config_.l1.line_bytes);
+    return out;
+}
+
+void MultiCoreCacheSystem::merge_forks(const std::vector<MultiCoreCacheSystem>& forks) {
+    std::vector<const CacheModel*> caches(forks.size());
+    for (unsigned c = 0; c < config_.cores; ++c) {
+        for (std::size_t k = 0; k < forks.size(); ++k) caches[k] = &forks[k].l1s_[c];
+        l1s_[c].merge_forks(caches);
     }
+    for (unsigned b = 0; b < config_.l2_banks; ++b) {
+        for (std::size_t k = 0; k < forks.size(); ++k) caches[k] = &forks[k].l2_banks_[b];
+        l2_banks_[b].merge_forks(caches);
+    }
+    std::vector<const MsiDirectory*> directories;
+    for (const MultiCoreCacheSystem& fork : forks) {
+        directories.push_back(&fork.directory_);
+        traffic_.line_fetches += fork.traffic_.line_fetches;
+        traffic_.line_writes += fork.traffic_.line_writes;
+        traffic_.word_writes += fork.traffic_.word_writes;
+    }
+    directory_.merge_forks(directories);
+}
+
+void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> sources) {
+    require(sources.size() == config_.cores,
+            "MultiCoreCacheSystem::replay: need exactly one trace source per core");
+    const unsigned shards = replay_shards();
+    if (shards > 1) {
+        // Zero-copy sources validate lazily in next() (.mtsc block
+        // checksums), in parallel when called outside a parallel region.
+        // One pass up front keeps that work off the dealing task below,
+        // where it would run serially.
+        TraceChunk chunk;
+        for (const auto& source : sources)
+            if (source->stable_chunks())
+                while (source->next(chunk)) {
+                }
+    }
+    RoundRobin walk(sources, config_.l1.line_bytes);
+    if (shards == 1) {
+        while (walk.next([this](unsigned core, std::uint64_t addr, AccessKind kind) {
+            access(core, addr, kind);
+        })) {
+        }
+        return;
+    }
+
+    // Set-sharded replay (see file comment): every fork replays, in global
+    // arbitration order, the line accesses whose shard key it owns.
+    std::vector<MultiCoreCacheSystem> forks;
+    forks.reserve(shards);
+    for (unsigned k = 0; k < shards; ++k) forks.push_back(fork(k, shards));
+
+    // Group g of dealt line accesses, one batch per shard, lives in slot
+    // g % kDealSlots. One parallel region runs the whole replay, with no
+    // barrier between groups: a free thread deals the next group once
+    // every shard has replayed the group that last used its slot, or
+    // takes a shard no thread holds and replays its dealt groups in
+    // order. A preempted thread thus stalls only the shard it holds, and
+    // only once the others have run kDealSlots groups ahead. Which thread
+    // replays a shard never matters: each fork still sees its accesses in
+    // deal order.
+    using Group = std::vector<std::vector<LineAccess>>;
+    const std::size_t capacity = kSlotBytes / sizeof(LineAccess) / shards;
+    std::vector<Group> slots(kDealSlots, Group(shards));
+    for (Group& group : slots)
+        for (std::vector<LineAccess>& batch : group) batch.reserve(capacity + kMaxLinesPerAccess);
+    const unsigned line_shift = static_cast<unsigned>(std::countr_zero(config_.l1.line_bytes));
+
+    std::vector<ShardProgress> progress(shards);
+    std::atomic<std::size_t> dealt{0};     // groups published to the shards
+    std::atomic<bool> walked{false};       // the last group is published
+    std::atomic<bool> dealing{false};      // a thread holds the walk
+    std::atomic<bool> failed{false};       // a thread threw; all others stop
+    // Bumped after every change that can give a waiting thread work: a
+    // group dealt, a shard released, a failure. A thread with nothing to
+    // do blocks until it moves, leaving its CPU to the threads that have
+    // work, including ones the host preempted.
+    std::atomic<std::uint32_t> epoch{0};
+    const auto signal = [&] {
+        epoch.fetch_add(1, std::memory_order_release);
+        epoch.notify_all();
+    };
+
+    const auto try_deal = [&] {
+        if (walked.load(std::memory_order_acquire) ||
+            dealing.exchange(true, std::memory_order_acquire))
+            return false;
+        const std::size_t group = dealt.load(std::memory_order_relaxed);
+        const bool slot_free =
+            !walked.load(std::memory_order_relaxed) &&
+            std::all_of(progress.begin(), progress.end(), [&](const ShardProgress& p) {
+                return p.replayed.load(std::memory_order_acquire) + kDealSlots > group;
+            });
+        if (slot_free) {
+            Group& to = slots[group % kDealSlots];
+            for (std::vector<LineAccess>& batch : to) batch.clear();
+            bool full = false;
+            bool more = true;
+            while (!full && (more = walk.next([&](unsigned core, std::uint64_t addr,
+                                                  AccessKind kind) {
+                std::vector<LineAccess>& batch = to[(addr >> line_shift) & (shards - 1)];
+                batch.push_back(LineAccess{addr, core, kind});
+                full = full || batch.size() >= capacity;
+            }))) {
+            }
+            dealt.store(group + 1, std::memory_order_release);
+            if (!more) walked.store(true, std::memory_order_release);
+        }
+        dealing.store(false, std::memory_order_release);
+        if (slot_free) signal();
+        return slot_free;
+    };
+    const auto try_replay = [&](std::size_t first) {
+        bool worked = false;
+        for (std::size_t i = 0; i < shards; ++i) {
+            const std::size_t s = (first + i) % shards;
+            ShardProgress& p = progress[s];
+            if (p.replayed.load(std::memory_order_relaxed) >=
+                    dealt.load(std::memory_order_acquire) ||
+                p.held.exchange(true, std::memory_order_acquire))
+                continue;
+            MultiCoreCacheSystem& fork = forks[s];
+            for (std::size_t group = p.replayed.load(std::memory_order_relaxed);
+                 group < dealt.load(std::memory_order_acquire); ++group) {
+                for (const LineAccess& a : slots[group % kDealSlots][s])
+                    fork.access(a.core, a.addr, a.kind);
+                p.replayed.store(group + 1, std::memory_order_release);
+            }
+            p.held.store(false, std::memory_order_release);
+            signal();
+            worked = true;
+        }
+        return worked;
+    };
+    const auto finished = [&] {
+        if (!walked.load(std::memory_order_acquire)) return false;
+        const std::size_t groups = dealt.load(std::memory_order_acquire);
+        return std::all_of(progress.begin(), progress.end(), [&](const ShardProgress& p) {
+            return p.replayed.load(std::memory_order_acquire) == groups;
+        });
+    };
+
+    const std::size_t threads = default_jobs();
+    parallel_for(threads, [&](std::size_t t) {
+        try {
+            while (!failed.load(std::memory_order_acquire)) {
+                const std::uint32_t seen = epoch.load(std::memory_order_acquire);
+                // Dealing comes first: it is the one serial step, and it
+                // keeps every shard supplied.
+                const bool dealt_group = try_deal();
+                if (try_replay(t * shards / threads) || dealt_group) continue;
+                if (finished()) return;
+                epoch.wait(seen, std::memory_order_acquire);
+            }
+        } catch (...) {
+            failed.store(true, std::memory_order_release);
+            signal();
+            throw;
+        }
+    });
+    merge_forks(forks);
 }
 
 void MultiCoreCacheSystem::flush() {
@@ -145,27 +377,15 @@ void MultiCoreCacheSystem::flush() {
         traffic_.line_writes += bank.flush().size();
 }
 
-namespace {
-void accumulate(CacheStats& into, const CacheStats& from) {
-    into.read_hits += from.read_hits;
-    into.read_misses += from.read_misses;
-    into.write_hits += from.write_hits;
-    into.write_misses += from.write_misses;
-    into.fills += from.fills;
-    into.writebacks += from.writebacks;
-    into.write_throughs += from.write_throughs;
-}
-}  // namespace
-
 CacheStats MultiCoreCacheSystem::l1_totals() const {
     CacheStats total;
-    for (const CacheModel& l1 : l1s_) accumulate(total, l1.stats());
+    for (const CacheModel& l1 : l1s_) total += l1.stats();
     return total;
 }
 
 CacheStats MultiCoreCacheSystem::l2_totals() const {
     CacheStats total;
-    for (const CacheModel& bank : l2_banks_) accumulate(total, bank.stats());
+    for (const CacheModel& bank : l2_banks_) total += bank.stats();
     return total;
 }
 

@@ -12,9 +12,39 @@
 // Determinism contract: replay() interleaves the per-core trace streams by
 // round-robin arbitration in fixed core order (core 0 access k, core 1
 // access k, ... ), one access per core per turn, independent of chunk
-// geometry and of --jobs. The simulation itself is a single serialized
-// machine, so results are bit-identical at any job count by construction —
-// the jobs-invariance test in tests/test_mcache.cpp polices the wiring.
+// geometry and of --jobs.
+//
+// Set-sharded replay. Every piece of machine state belongs to one line
+// set: an L1 set, an L2 bank set, a directory entry. The shard key of a
+// line is the low log2(S) bits of its line index, with S =
+// bit_floor(min(4 * default_jobs(), L1 sets, L2 sets per bank)). The L1
+// set index and today's L2 set index (line mod sets, which reuses the bank
+// selection bits, see DESIGN.md §5d) are line-index bits [0, log2 sets),
+// and the directory tracks single lines, so all lines that share any state
+// land in one shard. That also holds under an L2 set index taken above the
+// bank bits ((line / banks) mod sets), because S divides the set count;
+// only the set-to-shard map in merge_forks() would have to follow such a
+// change.
+//
+// replay() keeps the one global round-robin walk and deals each line
+// access into its shard's batch. Each shard replays its batches, in global
+// order, into its own fork of the machine through the unchanged access()
+// kernel. The replay is one parallel region without barriers: free threads
+// deal the next group of batches into a fixed ring of slots or replay the
+// dealt groups of a shard no other thread holds, and block while there is
+// nothing to do, so a preempted thread delays only its own shard. Batch
+// memory is fixed, independent of trace length. A shard thus applies to
+// its sets exactly the events the serial machine would. At the end the
+// forks' sets and directory entries are copied back, integer counters are
+// summed in shard order, and each cache's LRU/FIFO clock advances by the
+// sum of its forks' ticks, which keeps the age order inside every set. So
+// every result, to_json included, is bit-identical to the serial replay
+// at any job count. Four shards per job let the free threads balance uneven
+// shards; each fork holds a full copy of the caches. Random replacement
+// (one RNG per cache couples its sets), default_jobs() == 1 and nested
+// parallel regions take S = 1: the serial loop straight into this
+// machine, with no fork and no merge. The differential suite pins the
+// sharded replay against that loop.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +82,9 @@ struct MultiCoreConfig {
     }
 };
 
-/// The coherent N-core cache machine.
-class MultiCoreCacheSystem {
+/// The coherent N-core cache machine. Cache-line aligned, like CacheModel,
+/// because replay shards update their own copies from different threads.
+class alignas(64) MultiCoreCacheSystem {
 public:
     explicit MultiCoreCacheSystem(const MultiCoreConfig& config);
 
@@ -69,6 +100,10 @@ public:
     /// core count; accesses straddling an L1 line boundary are split per
     /// covered line. Does not flush.
     void replay(std::span<const std::unique_ptr<TraceSource>> sources);
+
+    /// Number of set shards replay() runs in parallel under the current
+    /// default_jobs(): 1 means the serial loop straight into this machine.
+    unsigned replay_shards() const;
 
     /// Write every dirty line back (L1s in core order, then L2 banks) and
     /// downgrade the directory's Modified entries to Shared.
@@ -93,6 +128,10 @@ public:
                                CoherenceEnergyModel{}) const;
 
 private:
+    /// Copy of the machine for one replay shard; see file comment.
+    MultiCoreCacheSystem fork(unsigned shard, unsigned shards) const;
+    /// Fold back the forks of one sharded replay, taken from this machine.
+    void merge_forks(const std::vector<MultiCoreCacheSystem>& forks);
     void apply_actions(std::uint64_t line, const CoherenceActions& actions);
     void l2_access(std::uint64_t line, AccessKind kind);
 

@@ -13,7 +13,16 @@ void BitWriter::put_bit(bool bit) {
 
 void BitWriter::put_bits(std::uint32_t value, unsigned count) {
     MEMOPT_ASSERT(count <= 32);
-    for (unsigned i = 0; i < count; ++i) put_bit((value >> i) & 1u);
+    // The masked value shifted to the current bit offset spans at most
+    // five bytes; new bytes start zeroed, as put_bit would have pushed them.
+    std::uint64_t rest = (static_cast<std::uint64_t>(value) &
+                          ((std::uint64_t{1} << count) - 1))
+                         << (bits_ % 8);
+    std::size_t byte_index = bits_ / 8;
+    bits_ += count;
+    bytes_.resize((bits_ + 7) / 8, 0);
+    for (; byte_index < bytes_.size(); ++byte_index, rest >>= 8)
+        bytes_[byte_index] |= static_cast<std::uint8_t>(rest);
 }
 
 bool BitReader::get_bit() {
@@ -25,8 +34,19 @@ bool BitReader::get_bit() {
 
 std::uint32_t BitReader::get_bits(unsigned count) {
     MEMOPT_ASSERT(count <= 32);
-    std::uint32_t value = 0;
-    for (unsigned i = 0; i < count; ++i) value |= static_cast<std::uint32_t>(get_bit()) << i;
+    const std::size_t end = pos_ + count;
+    if (end > bytes_.size() * 8) {
+        // Same end state as a bit-by-bit read that stops at the end.
+        pos_ = bytes_.size() * 8;
+        throw Error("BitReader: read past end of stream");
+    }
+    std::uint64_t window = 0;
+    const std::size_t first = pos_ / 8;
+    for (std::size_t i = first; i < (end + 7) / 8; ++i)
+        window |= static_cast<std::uint64_t>(bytes_[i]) << (8 * (i - first));
+    const auto value = static_cast<std::uint32_t>((window >> (pos_ % 8)) &
+                                                  ((std::uint64_t{1} << count) - 1));
+    pos_ = end;
     return value;
 }
 

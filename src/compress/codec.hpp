@@ -65,7 +65,10 @@ public:
     virtual std::vector<std::uint8_t> decode(std::span<const std::uint8_t> coded,
                                              std::size_t line_bytes) const = 0;
 
-    /// Stored size in bits for `line` (default: encode and measure).
+    /// Stored size in bits of `line`; always equals encode(line).bit_count().
+    /// The default encodes and measures. CompressedMemorySim prices every
+    /// write-back through this call unless it keeps the blobs, so a codec
+    /// on that path (DiffCodec) overrides it with a size-only pass.
     virtual std::size_t compressed_bits(std::span<const std::uint8_t> line) const;
 };
 

@@ -37,11 +37,11 @@ unsigned word_payload_bits(unsigned tag) {
     }
 }
 
-std::size_t word_diff_bits(const std::vector<std::uint32_t>& words) {
-    std::size_t bits = 32;
-    for (std::size_t w = 1; w < words.size(); ++w)
-        bits += 2 + word_payload_bits(word_tag(words[w] - words[w - 1]));
-    return bits;
+std::uint32_t load_word(std::span<const std::uint8_t> line, std::size_t w) {
+    return static_cast<std::uint32_t>(line[4 * w]) |
+           (static_cast<std::uint32_t>(line[4 * w + 1]) << 8) |
+           (static_cast<std::uint32_t>(line[4 * w + 2]) << 16) |
+           (static_cast<std::uint32_t>(line[4 * w + 3]) << 24);
 }
 
 // --- byte-differential mode ---------------------------------------------
@@ -67,49 +67,77 @@ unsigned byte_payload_bits(unsigned tag) {
     }
 }
 
-std::size_t byte_diff_bits(std::span<const std::uint8_t> line) {
-    std::size_t bits = 8;
+// Payload bits (mode field excluded) of each layout of one line, computed
+// from the line bytes without writing any bits.
+struct LayoutBits {
+    std::size_t raw = 0;
+    std::size_t word = 0;
+    std::size_t byte = 0;
+};
+
+LayoutBits layout_bits(std::span<const std::uint8_t> line) {
+    require(line.size() % 4 == 0, "line size must be a multiple of 4 bytes");
+    require(!line.empty(), "DiffCodec: empty line");
+    LayoutBits bits;
+    bits.raw = line.size() * 8;
+    bits.word = 32;
+    std::uint32_t prev = load_word(line, 0);
+    for (std::size_t w = 1; w < line.size() / 4; ++w) {
+        const std::uint32_t word = load_word(line, w);
+        bits.word += 2 + word_payload_bits(word_tag(word - prev));
+        prev = word;
+    }
+    bits.byte = 8;
     for (std::size_t b = 1; b < line.size(); ++b)
-        bits += 2 + byte_payload_bits(byte_tag(static_cast<std::uint8_t>(line[b] - line[b - 1])));
+        bits.byte +=
+            2 + byte_payload_bits(byte_tag(static_cast<std::uint8_t>(line[b] - line[b - 1])));
     return bits;
+}
+
+// The encoder's mode rule: the smallest layout. On a tie for the smallest,
+// raw beats both differential layouts and word beats byte.
+unsigned choose_mode(const LayoutBits& bits) {
+    if (bits.word <= bits.byte && bits.word < bits.raw) return kModeWordDiff;
+    if (bits.byte < bits.word && bits.byte < bits.raw) return kModeByteDiff;
+    return kModeRaw;
 }
 
 }  // namespace
 
 BitWriter DiffCodec::encode(std::span<const std::uint8_t> line) const {
-    const std::vector<std::uint32_t> words = line_words(line);
-    require(!words.empty(), "DiffCodec: empty line");
-
-    const std::size_t raw_bits = words.size() * 32;
-    const std::size_t word_bits = word_diff_bits(words);
-    const std::size_t byte_bits = byte_diff_bits(line);
+    const LayoutBits bits = layout_bits(line);
+    const unsigned mode = choose_mode(bits);
+    const std::size_t num_words = line.size() / 4;
 
     BitWriter out;
-    if (word_bits <= byte_bits && word_bits < raw_bits) {
-        out.put_bits(kModeWordDiff, 2);
-        out.put_bits(words[0], 32);
-        for (std::size_t w = 1; w < words.size(); ++w) {
-            const std::uint32_t delta = words[w] - words[w - 1];
+    out.put_bits(mode, 2);
+    if (mode == kModeWordDiff) {
+        out.put_bits(load_word(line, 0), 32);
+        for (std::size_t w = 1; w < num_words; ++w) {
+            const std::uint32_t delta = load_word(line, w) - load_word(line, w - 1);
             const unsigned tag = word_tag(delta);
             out.put_bits(tag, 2);
-            if (word_payload_bits(tag) > 0) out.put_bits(delta, word_payload_bits(tag));
+            out.put_bits(delta, word_payload_bits(tag));
         }
-        MEMOPT_ASSERT(out.bit_count() == 2 + word_bits);
-    } else if (byte_bits < word_bits && byte_bits < raw_bits) {
-        out.put_bits(kModeByteDiff, 2);
+        MEMOPT_ASSERT(out.bit_count() == 2 + bits.word);
+    } else if (mode == kModeByteDiff) {
         out.put_bits(line[0], 8);
         for (std::size_t b = 1; b < line.size(); ++b) {
             const auto delta = static_cast<std::uint8_t>(line[b] - line[b - 1]);
             const unsigned tag = byte_tag(delta);
             out.put_bits(tag, 2);
-            if (byte_payload_bits(tag) > 0) out.put_bits(delta, byte_payload_bits(tag));
+            out.put_bits(delta, byte_payload_bits(tag));
         }
-        MEMOPT_ASSERT(out.bit_count() == 2 + byte_bits);
+        MEMOPT_ASSERT(out.bit_count() == 2 + bits.byte);
     } else {
-        out.put_bits(kModeRaw, 2);
-        for (std::uint32_t w : words) out.put_bits(w, 32);
+        for (std::size_t w = 0; w < num_words; ++w) out.put_bits(load_word(line, w), 32);
     }
     return out;
+}
+
+std::size_t DiffCodec::compressed_bits(std::span<const std::uint8_t> line) const {
+    const LayoutBits bits = layout_bits(line);
+    return 2 + std::min({bits.raw, bits.word, bits.byte});
 }
 
 std::vector<std::uint8_t> DiffCodec::decode(std::span<const std::uint8_t> coded,

@@ -26,6 +26,9 @@ class DiffCodec final : public LineCodec {
 public:
     std::string name() const override { return "diff"; }
     BitWriter encode(std::span<const std::uint8_t> line) const override;
+    /// The three layout sizes straight from the line bytes, no bitstream:
+    /// 2 + min(raw, word-differential, byte-differential).
+    std::size_t compressed_bits(std::span<const std::uint8_t> line) const override;
     std::vector<std::uint8_t> decode(std::span<const std::uint8_t> coded,
                                      std::size_t line_bytes) const override;
 };

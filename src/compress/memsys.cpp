@@ -83,8 +83,14 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
         cache_pj += cache_sram.read_energy() * static_cast<double>(words_per_line);
         std::uint64_t burst_bytes = line_bytes;
         if (codec_ != nullptr) {
-            const BitWriter coded = codec_->encode(line_span(line_addr));
-            const std::size_t blob_bytes = (coded.bit_count() + 7) / 8;
+            // Only the blob paths need the bitstream; every other run
+            // prices the burst from the codec's size-only pass.
+            BitWriter coded;
+            if (keep_blobs) coded = codec_->encode(line_span(line_addr));
+            const std::size_t coded_bits = keep_blobs
+                                               ? coded.bit_count()
+                                               : codec_->compressed_bits(line_span(line_addr));
+            const std::size_t blob_bytes = (coded_bits + 7) / 8;
             const std::size_t stored_bytes =
                 protected_stored_bytes(blob_bytes, config_.protection);
             codec_pj += config_.compress_pj_per_word * static_cast<double>(words_per_line);

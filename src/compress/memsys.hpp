@@ -6,6 +6,11 @@
 // their compressed size (and decompressed) on refill — exactly the
 // Lx-ST200 scheme of the paper. Without a codec the same engine produces
 // the uncompressed baseline, so savings compare identical machinery.
+//
+// A write-back needs only the compressed size, so it calls the codec's
+// size-only LineCodec::compressed_bits. The full bitstream is built only
+// when the blob itself is kept: for the verify_roundtrip invariant and for
+// fault injection, which flip stored bits and decode them on refill.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,12 @@
 // and the sleepy replay settles only the accessed bank; their references
 // are the sequential state machines that settle every bank on every
 // access.
+//
+// The coherent-compress path: bit I/O moves whole words, pinned against
+// per-bit readers and writers; every codec's compressed_bits() equals the
+// length of its encode(), and the compressed-memory simulation prices a
+// write-back identically from either; and the set-sharded coherent replay
+// reproduces the serial loop (default_jobs() == 1) at jobs 2, 4 and 8.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +25,27 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/mcache.hpp"
 #include "cluster/address_map.hpp"
+#include "compress/bdi_codec.hpp"
+#include "compress/codec.hpp"
+#include "compress/dictionary_codec.hpp"
+#include "compress/diff_codec.hpp"
+#include "compress/memsys.hpp"
+#include "compress/zero_run.hpp"
 #include "energy/sram_model.hpp"
 #include "partition/bank.hpp"
 #include "partition/evaluate.hpp"
 #include "partition/hybrid.hpp"
 #include "partition/sleep.hpp"
+#include "support/assert.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "trace/affinity.hpp"
@@ -559,6 +576,475 @@ TEST_F(DifferentialReplay, SleepyReplayMatchesStateMachine) {
                                synthetic_ref);
             expect_sleep_equal(evaluate_partition_sleepy(arch, map, streamed, energy, sleep),
                                synthetic_ref);
+        }
+    }
+}
+
+// ------------------------------------------------------------- bit I/O ----
+
+/// Per-bit reference writer: LSB first within each byte.
+struct ReferenceBits {
+    std::vector<std::uint8_t> bytes;
+    std::size_t bits = 0;
+    void put(std::uint32_t value, unsigned count) {
+        for (unsigned i = 0; i < count; ++i, ++bits) {
+            if (bits % 8 == 0) bytes.push_back(0);
+            if ((value >> i) & 1u) bytes.back() |= static_cast<std::uint8_t>(1u << (bits % 8));
+        }
+    }
+};
+
+/// Per-bit reference read of `count` bits at bit position `pos`.
+std::uint32_t reference_get(const std::vector<std::uint8_t>& bytes, std::size_t pos,
+                            unsigned count) {
+    std::uint32_t value = 0;
+    for (unsigned i = 0; i < count; ++i, ++pos)
+        value |= static_cast<std::uint32_t>((bytes[pos / 8] >> (pos % 8)) & 1u) << i;
+    return value;
+}
+
+TEST(DifferentialBitIo, PutBitsMatchesPerBitWriter) {
+    Rng rng(41);
+    for (int stream = 0; stream < 200; ++stream) {
+        BitWriter out;
+        ReferenceBits ref;
+        // An odd-length lead-in of single bits puts the word writes at odd
+        // offsets within a byte.
+        const auto lead = static_cast<unsigned>(2 * rng.next_below(4) + 1);
+        for (unsigned i = 0; i < lead; ++i) {
+            const bool bit = rng.next_bool();
+            out.put_bit(bit);
+            ref.put(bit ? 1u : 0u, 1);
+        }
+        for (int op = 0; op < 64; ++op) {
+            const auto count = static_cast<unsigned>(rng.next_below(33));  // 0..32
+            // Bits above `count` are set too: they must be ignored.
+            const auto value = static_cast<std::uint32_t>(rng.next_u64());
+            out.put_bits(value, count);
+            ref.put(value, count);
+            ASSERT_EQ(out.bit_count(), ref.bits);
+            ASSERT_EQ(out.bytes(), ref.bytes) << "stream " << stream << ", op " << op;
+        }
+    }
+}
+
+TEST(DifferentialBitIo, GetBitsMatchesPerBitReader) {
+    Rng rng(43);
+    for (int stream = 0; stream < 200; ++stream) {
+        std::vector<std::uint8_t> bytes(1 + rng.next_below(40));
+        for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+        const std::size_t total = bytes.size() * 8;
+        BitReader in(bytes);
+        std::size_t pos = 2 * rng.next_below(4) + 1;  // odd start offset
+        for (std::size_t i = 0; i < pos && i < total; ++i) in.get_bit();
+        pos = std::min(pos, total);
+        for (;;) {
+            const auto count = static_cast<unsigned>(rng.next_below(33));
+            if (pos + count > total) {
+                // Past the end: the same Error, and the reader stops at the
+                // end as a bit-by-bit read would.
+                try {
+                    in.get_bits(count);
+                    FAIL() << "read past end did not throw";
+                } catch (const Error& e) {
+                    EXPECT_STREQ(e.what(), "BitReader: read past end of stream");
+                }
+                EXPECT_EQ(in.position(), total);
+                break;
+            }
+            ASSERT_EQ(in.get_bits(count), reference_get(bytes, pos, count))
+                << "stream " << stream << ", pos " << pos << ", count " << count;
+            pos += count;
+            ASSERT_EQ(in.position(), pos);
+        }
+    }
+}
+
+// ------------------------------------------------------- codec sizing ----
+
+/// Reference layout sizes of DiffCodec (mode field excluded), straight
+/// from the format description in compress/diff_codec.hpp.
+struct DiffSizes {
+    std::size_t raw, word, byte;
+};
+
+DiffSizes reference_diff_sizes(const std::vector<std::uint8_t>& line) {
+    DiffSizes s{line.size() * 8, 32, 8};
+    const std::vector<std::uint32_t> words = line_words(line);
+    for (std::size_t w = 1; w < words.size(); ++w) {
+        const auto d = static_cast<std::int32_t>(words[w] - words[w - 1]);
+        s.word += 2 + (d == 0                       ? 0
+                       : d >= -128 && d <= 127     ? 8
+                       : d >= -32768 && d <= 32767 ? 16
+                                                   : 32);
+    }
+    for (std::size_t b = 1; b < line.size(); ++b) {
+        const auto d = static_cast<std::int8_t>(line[b] - line[b - 1]);
+        s.byte += 2 + (d == 0 ? 0 : d >= -8 && d <= 7 ? 4 : 8);
+    }
+    return s;
+}
+
+/// Mode the encoder must pick: the smallest layout; on a tie raw beats
+/// both differential layouts and word beats byte.
+unsigned reference_diff_mode(const DiffSizes& s) {
+    const std::size_t best = std::min({s.raw, s.word, s.byte});
+    if (s.raw == best) return 0;
+    return s.word == best ? 1 : 2;
+}
+
+/// Seeded lines of every line size 4..256 B in the shapes the codecs
+/// treat differently.
+std::vector<std::vector<std::uint8_t>> codec_corpus() {
+    std::vector<std::vector<std::uint8_t>> lines;
+    Rng rng(47);
+    const char* text = "The quick brown fox jumps over the lazy dog; 0123456789. ";
+    for (std::size_t bytes = 4; bytes <= 256; bytes += 4) {
+        const std::size_t words = bytes / 4;
+        std::vector<std::uint32_t> w(words);
+        const auto push_words = [&] { lines.push_back(words_to_line(w)); };
+        std::fill(w.begin(), w.end(), 0u);  // all-zero
+        push_words();
+        std::fill(w.begin(), w.end(), static_cast<std::uint32_t>(rng.next_u64()));  // repeated
+        push_words();
+        for (const std::int64_t spread : {2, 100, 30000, 1'000'000}) {  // word deltas
+            w[0] = static_cast<std::uint32_t>(rng.next_u64());
+            for (std::size_t i = 1; i < words; ++i)
+                w[i] = w[i - 1] + static_cast<std::uint32_t>(rng.next_in(-spread, spread));
+            push_words();
+        }
+        for (const std::int64_t spread : {1, 7, 60}) {  // byte deltas
+            std::vector<std::uint8_t> line(bytes);
+            line[0] = static_cast<std::uint8_t>(rng.next_u64());
+            for (std::size_t i = 1; i < bytes; ++i)
+                line[i] = static_cast<std::uint8_t>(line[i - 1] + rng.next_in(-spread, spread));
+            lines.push_back(line);
+        }
+        std::vector<std::uint8_t> prose(bytes);  // text
+        const std::size_t start = rng.next_below(40);
+        for (std::size_t i = 0; i < bytes; ++i)
+            prose[i] = static_cast<std::uint8_t>(text[(start + i) % 57]);
+        lines.push_back(prose);
+        for (int r = 0; r < 4; ++r) {  // random, with a few zero words
+            for (std::uint32_t& x : w)
+                x = rng.next_bool(0.2) ? 0u : static_cast<std::uint32_t>(rng.next_u64());
+            push_words();
+        }
+    }
+    return lines;
+}
+
+/// Short lines whose DiffCodec layouts tie for the smallest size, found by
+/// a seeded search over small-delta lines: word with byte, and raw with
+/// word. Raw never ties with byte: for an n-byte line their difference,
+/// 6(n - 1) minus a multiple of 4, is never zero when n is a multiple of 4.
+std::vector<std::vector<std::uint8_t>> diff_tie_lines() {
+    std::vector<std::vector<std::uint8_t>> ties;
+    std::size_t word_byte = 0, raw_word = 0;
+    Rng rng(53);
+    for (int trial = 0; trial < 200000 && (word_byte < 16 || raw_word < 16); ++trial) {
+        std::vector<std::uint8_t> line(4 * (1 + rng.next_below(4)));
+        const std::int64_t spread = std::int64_t{1} << rng.next_below(8);
+        line[0] = static_cast<std::uint8_t>(rng.next_u64());
+        for (std::size_t i = 1; i < line.size(); ++i)
+            line[i] = static_cast<std::uint8_t>(line[i - 1] + rng.next_in(-spread, spread));
+        const DiffSizes s = reference_diff_sizes(line);
+        const std::size_t best = std::min({s.raw, s.word, s.byte});
+        if (s.word == best && s.byte == best && s.raw != best && word_byte < 16) {
+            ties.push_back(line);
+            ++word_byte;
+        } else if (s.raw == best && s.word == best && raw_word < 16) {
+            ties.push_back(line);
+            ++raw_word;
+        }
+    }
+    EXPECT_EQ(word_byte, 16u) << "tie search came up short";
+    EXPECT_EQ(raw_word, 16u) << "tie search came up short";
+    return ties;
+}
+
+TEST(DifferentialCodec, CompressedBitsEqualsEncodedLength) {
+    std::vector<std::uint32_t> train(512);
+    Rng rng(59);
+    for (std::uint32_t& x : train) x = static_cast<std::uint32_t>(rng.next_below(24));
+    const DiffCodec diff;
+    const ZeroRunCodec zero_run;
+    const BdiCodec bdi;
+    const DictionaryCodec dictionary = DictionaryCodec::train(train, 16);
+    std::vector<std::vector<std::uint8_t>> lines = codec_corpus();
+    for (std::vector<std::uint8_t>& tie : diff_tie_lines()) lines.push_back(std::move(tie));
+    for (const LineCodec* codec : std::initializer_list<const LineCodec*>{
+             &diff, &zero_run, &bdi, &dictionary}) {
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            SCOPED_TRACE(codec->name() + " line " + std::to_string(i) + " (" +
+                         std::to_string(lines[i].size()) + " B)");
+            const BitWriter coded = codec->encode(lines[i]);
+            ASSERT_EQ(codec->compressed_bits(lines[i]), coded.bit_count());
+            ASSERT_EQ(codec->decode(coded.bytes(), lines[i].size()), lines[i]);
+        }
+    }
+    // DiffCodec's size is 2 + the smallest layout, and encode() takes the
+    // mode the same rule names.
+    for (const std::vector<std::uint8_t>& line : lines) {
+        const DiffSizes s = reference_diff_sizes(line);
+        ASSERT_EQ(diff.compressed_bits(line), 2 + std::min({s.raw, s.word, s.byte}));
+        const BitWriter coded = diff.encode(line);
+        BitReader mode(coded.bytes());
+        ASSERT_EQ(mode.get_bits(2), reference_diff_mode(s));
+    }
+}
+
+TEST(DifferentialCodec, WritebackSizePassMatchesBlobPath) {
+    // verify_roundtrip keeps every blob, so its write-backs encode; the
+    // plain run prices them from compressed_bits() alone.
+    SyntheticSpec spec;
+    spec.kind = SyntheticKind::Hotspot;
+    spec.base.span_bytes = 16 * 1024;
+    spec.base.num_accesses = 40000;
+    spec.base.write_fraction = 0.5;
+    spec.base.seed = 61;
+    SyntheticSource source(spec, kChunk);
+    std::vector<std::uint8_t> image(8 * 1024);
+    Rng rng(67);
+    std::uint8_t v = 0;
+    for (std::uint8_t& b : image) b = v = static_cast<std::uint8_t>(v + rng.next_in(-3, 3));
+    const DiffCodec diff;
+    const ZeroRunCodec zero_run;
+    const BdiCodec bdi;
+    const DictionaryCodec dictionary = DictionaryCodec::train(line_words(image), 16);
+    for (const LineCodec* codec : std::initializer_list<const LineCodec*>{
+             &diff, &zero_run, &bdi, &dictionary}) {
+        SCOPED_TRACE(codec->name());
+        CompressedMemConfig config;
+        config.cache.size_bytes = 1024;
+        const CompressedMemReport sized = CompressedMemorySim(config, codec).run(source, image, 0);
+        config.verify_roundtrip = true;
+        const CompressedMemReport blobs = CompressedMemorySim(config, codec).run(source, image, 0);
+        EXPECT_LT(sized.traffic_ratio(), 1.0);
+        EXPECT_EQ(sized.cache_stats, blobs.cache_stats);
+        EXPECT_EQ(sized.writeback_lines, blobs.writeback_lines);
+        EXPECT_EQ(sized.actual_traffic_bytes, blobs.actual_traffic_bytes);
+        EXPECT_EQ(sized.raw_traffic_bytes, blobs.raw_traffic_bytes);
+        EXPECT_EQ(sized.energy.components(), blobs.energy.components());
+    }
+}
+
+// ----------------------------------------------- sharded coherent replay ----
+
+/// Everything observable of a coherent machine: the JSON report, the
+/// sorted directory, and each cache's residency.
+std::string machine_state(const MultiCoreCacheSystem& system) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    to_json(w, system);
+    os << "\ndirectory";
+    for (const auto& [line, entry] : system.directory().snapshot())
+        os << ' ' << line << ':' << msi_state_name(entry.state) << ':' << entry.sharers;
+    os << "\nsharers " << system.directory().total_sharers() << "\nresident";
+    for (unsigned c = 0; c < system.cores(); ++c) os << ' ' << system.l1(c).resident_lines();
+    for (unsigned b = 0; b < system.config().l2_banks; ++b)
+        os << ' ' << system.l2_bank(b).resident_lines();
+    return os.str();
+}
+
+struct CoherentCase {
+    unsigned cores = 4;
+    unsigned l2_banks = 4;
+    unsigned l1_ways = 4;
+    unsigned line_bytes = 32;
+    Replacement replacement = Replacement::Lru;
+
+    std::string name() const {
+        const char* policy = replacement == Replacement::Lru    ? "lru"
+                             : replacement == Replacement::Fifo ? "fifo"
+                                                                : "random";
+        return std::to_string(cores) + " cores, " + std::to_string(l2_banks) + " banks, " +
+               std::to_string(l1_ways) + "-way " + std::to_string(line_bytes) + " B lines, " +
+               policy;
+    }
+
+    /// Small caches, so that replacement runs all the time: a 2 KiB L1
+    /// (8 to 64 sets) and 8 KiB L2 banks (32 or 64 sets).
+    MultiCoreConfig config() const {
+        MultiCoreConfig cfg;
+        cfg.cores = cores;
+        cfg.l2_banks = l2_banks;
+        cfg.l1.size_bytes = 2048;
+        cfg.l1.line_bytes = line_bytes;
+        cfg.l1.associativity = l1_ways;
+        cfg.l1.replacement = replacement;
+        cfg.l2_bank.size_bytes = 8 * 1024;
+        cfg.l2_bank.line_bytes = line_bytes;
+        cfg.l2_bank.associativity = 4;
+        cfg.l2_bank.replacement = replacement;
+        return cfg;
+    }
+};
+
+std::vector<CoherentCase> coherent_cases() {
+    std::vector<CoherentCase> cases;
+    for (const unsigned cores : {1u, 2u, 4u, 8u})
+        for (const unsigned banks : {1u, 2u, 4u, 8u}) {
+            CoherentCase c;
+            c.cores = cores;
+            c.l2_banks = banks;
+            cases.push_back(c);
+        }
+    for (const Replacement policy : {Replacement::Lru, Replacement::Fifo, Replacement::Random})
+        for (const unsigned ways : {1u, 4u})
+            for (const unsigned line : {32u, 64u}) {
+                CoherentCase c;
+                c.l1_ways = ways;
+                c.line_bytes = line;
+                c.replacement = policy;
+                cases.push_back(c);
+            }
+    return cases;
+}
+
+/// Per-core streams of 1-, 2-, 4- and 8-byte accesses at unaligned
+/// addresses, so that many straddle a line boundary; a quarter of the
+/// accesses share one region between all cores.
+std::vector<std::shared_ptr<const MemTrace>> straddling_streams(unsigned cores,
+                                                                std::uint64_t seed) {
+    std::vector<std::shared_ptr<const MemTrace>> streams;
+    for (unsigned c = 0; c < cores; ++c) {
+        Rng rng(seed * 131 + c);
+        MemTrace trace;
+        for (int i = 0; i < 1500; ++i) {
+            MemAccess a;
+            const bool shared = rng.next_bool(0.25);
+            a.addr = (shared ? 0 : 65536 * (c + 1)) + rng.next_below(shared ? 2048 : 16384);
+            a.size = static_cast<std::uint8_t>(1u << rng.next_below(4));
+            a.kind = rng.next_bool(0.35) ? AccessKind::Write : AccessKind::Read;
+            a.value = static_cast<std::uint32_t>(rng.next_u64());
+            a.cycle = static_cast<std::uint64_t>(i);
+            trace.add(a);
+        }
+        streams.push_back(std::make_shared<const MemTrace>(std::move(trace)));
+    }
+    return streams;
+}
+
+using SourceSet = std::vector<std::unique_ptr<TraceSource>>;
+
+SourceSet synthetic_sources(const std::string& kind, unsigned cores, std::uint64_t seed) {
+    SyntheticSpec spec = parse_synthetic_spec(kind + ",span=32768,n=3000,seed=" +
+                                              std::to_string(seed));
+    spec.cores = cores;
+    spec.shared_bytes = 2048;
+    spec.shared_fraction = 0.5;
+    SourceSet sources;
+    for (const SyntheticSpec& core : per_core_specs(spec))
+        sources.push_back(std::make_unique<SyntheticSource>(core, 700));
+    return sources;
+}
+
+SourceSet trace_sources(const std::vector<std::shared_ptr<const MemTrace>>& streams) {
+    SourceSet sources;
+    for (const auto& s : streams) sources.push_back(std::make_unique<MaterializedSource>(s, 500));
+    return sources;
+}
+
+/// Machine state after a warm-up of direct access() calls and two
+/// replays, then again after flush(). Returns the shard count in use.
+unsigned replay_case(const CoherentCase& c, std::size_t jobs, std::string* replayed,
+                     std::string* flushed) {
+    set_default_jobs(jobs);
+    MultiCoreCacheSystem system(c.config());
+    Rng rng(71);
+    for (int i = 0; i < 400; ++i)
+        system.access(static_cast<unsigned>(rng.next_below(c.cores)), rng.next_below(8192),
+                      rng.next_bool(0.4) ? AccessKind::Write : AccessKind::Read);
+    system.replay(synthetic_sources("producer-consumer", c.cores, 73));
+    system.replay(synthetic_sources("uniform", c.cores, 79));
+    system.replay(trace_sources(straddling_streams(c.cores, 83)));
+    *replayed = machine_state(system);
+    system.flush();
+    *flushed = machine_state(system);
+    return system.replay_shards();
+}
+
+class DifferentialCoherentReplay : public ::testing::Test {
+protected:
+    void TearDown() override { set_default_jobs(0); }
+};
+
+TEST_F(DifferentialCoherentReplay, ShardedMatchesSerialLoop) {
+    for (const CoherentCase& c : coherent_cases()) {
+        std::string serial_replayed, serial_flushed;
+        ASSERT_EQ(replay_case(c, 1, &serial_replayed, &serial_flushed), 1u);
+        const std::size_t l1_sets = 2048 / (c.line_bytes * c.l1_ways);
+        const std::size_t l2_sets = 8 * 1024 / (c.line_bytes * 4);
+        for (const std::size_t jobs : {2, 4, 8}) {
+            SCOPED_TRACE(c.name() + ", jobs " + std::to_string(jobs));
+            std::string replayed, flushed;
+            const unsigned shards = replay_case(c, jobs, &replayed, &flushed);
+            // Random replacement stays serial; every other case takes
+            // four shards per job as far as the set counts allow.
+            const std::size_t expected = c.replacement == Replacement::Random
+                                             ? 1
+                                             : std::min({4 * jobs, l1_sets, l2_sets});
+            EXPECT_EQ(shards, expected);
+            EXPECT_EQ(replayed, serial_replayed);
+            EXPECT_EQ(flushed, serial_flushed);
+        }
+    }
+}
+
+/// A source that fails partway through, as a stream with a corrupt later
+/// block does.
+class FailingSource final : public TraceSource {
+public:
+    FailingSource(std::unique_ptr<TraceSource> inner, std::uint64_t fail_after)
+        : inner_(std::move(inner)), fail_after_(fail_after) {}
+
+    std::uint64_t size() const override { return inner_->size(); }
+    bool next(TraceChunk& chunk) override {
+        if (delivered_ >= fail_after_) throw Error("FailingSource: read error");
+        const bool more = inner_->next(chunk);
+        delivered_ += chunk.size();
+        return more;
+    }
+    void reset() override {
+        inner_->reset();
+        delivered_ = 0;
+    }
+
+private:
+    std::unique_ptr<TraceSource> inner_;
+    std::uint64_t fail_after_;
+    std::uint64_t delivered_ = 0;
+};
+
+TEST_F(DifferentialCoherentReplay, SourceErrorSurfacesAtAnyJobCount) {
+    // The error comes from the dealing thread after many groups, while
+    // other threads replay or wait for work; replay() must rethrow it and
+    // leave no thread waiting. Which threads wait depends on timing, so
+    // each job count runs several times.
+    const CoherentCase c;
+    for (const std::size_t jobs : {1, 2, 4, 8}) {
+        set_default_jobs(jobs);
+        for (int round = 0; round < 10; ++round) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + ", round " + std::to_string(round));
+            MultiCoreCacheSystem system(c.config());
+            SyntheticSpec spec = parse_synthetic_spec("uniform,span=32768,n=40000,seed=89");
+            spec.cores = c.cores;
+            SourceSet sources;
+            for (const SyntheticSpec& core : per_core_specs(spec)) {
+                auto source = std::make_unique<SyntheticSource>(core, 700);
+                if (core.core_id == 2)
+                    sources.push_back(std::make_unique<FailingSource>(std::move(source), 30000));
+                else
+                    sources.push_back(std::move(source));
+            }
+            EXPECT_EQ(system.replay_shards() > 1, jobs > 1);
+            try {
+                system.replay(sources);
+                ADD_FAILURE() << "replay() did not throw";
+            } catch (const Error& e) {
+                EXPECT_STREQ(e.what(), "FailingSource: read error");
+            }
         }
     }
 }
