@@ -172,7 +172,8 @@ BENCHMARK(BM_CoherentReplay);
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
 // affinity over the SoA columns (sharded when the trace is long enough) and
 // the incremental greedy affinity chain. Arg is the block count, which also
-// decides dense vs CSR storage.
+// decides the accumulator's storage: 512 blocks count in the dense
+// triangle, 4,096 in the pair table (the matrix is CSR either way).
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({

@@ -57,6 +57,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -562,7 +563,11 @@ int cmd_encode(const Args& args, JsonWriter* jw) {
         WorkloadRepository::instance().run(args.positional[0], /*fetch=*/true)->result;
 
     TransformSearchParams params;
-    params.max_gates = static_cast<std::size_t>(args.get_int("gates", 16));
+    const std::int64_t gates = args.get_int("gates", 16);
+    usage_require(gates >= 0 && static_cast<std::uint64_t>(gates) <= kMaxTransformGates,
+                  "encode: --gates expects a count in [0, " +
+                      std::to_string(kMaxTransformGates) + "]");
+    params.max_gates = static_cast<std::size_t>(gates);
     const TransformSearchResult result = search_transform(run.fetch_stream, params);
     const BusEnergyModel bus;
     const EnergyBreakdown net = encoded_energy(result.transform, run.fetch_stream,
@@ -595,10 +600,14 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
 
     FaultCampaignConfig config;
     config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    config.trials = static_cast<std::size_t>(args.get_int("trials", 64));
+    const std::int64_t trials = args.get_int("trials", 64);
+    usage_require(trials >= 1, "fault: --trials expects a positive count");
+    config.trials = static_cast<std::size_t>(trials);
     config.bit_flip_rate = args.get_double("rate", 1e-4);
-    config.line_bytes = static_cast<unsigned>(args.get_int("line", 32));
-    usage_require(config.trials > 0, "fault: --trials expects a positive count");
+    const std::int64_t line = args.get_int("line", 32);
+    usage_require(line > 0 && line % 4 == 0 && line <= std::numeric_limits<unsigned>::max(),
+                  "fault: --line expects a positive multiple of 4 bytes");
+    config.line_bytes = static_cast<unsigned>(line);
     usage_require(config.bit_flip_rate >= 0.0 && config.bit_flip_rate <= 1.0,
                   "fault: --rate expects a probability in [0,1]");
 

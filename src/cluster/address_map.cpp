@@ -55,17 +55,4 @@ BlockProfile AddressMap::apply(const BlockProfile& profile) const {
     return profile.permuted(perm_);
 }
 
-MemTrace AddressMap::apply(const MemTrace& trace) const {
-    // Columnar remap: only the addr column is transformed; the other
-    // columns are copied wholesale. from_columns re-derives the summary
-    // statistics (the remap moves min/max_addr).
-    std::vector<std::uint64_t> addrs(trace.addrs().begin(), trace.addrs().end());
-    for (std::uint64_t& addr : addrs) addr = map_addr(addr);
-    return MemTrace::from_columns(
-        std::move(addrs), {trace.cycles().begin(), trace.cycles().end()},
-        {trace.values().begin(), trace.values().end()},
-        {trace.sizes().begin(), trace.sizes().end()},
-        {trace.kinds().begin(), trace.kinds().end()});
-}
-
 }  // namespace memopt

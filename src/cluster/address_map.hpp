@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "trace/profile.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 
@@ -49,9 +48,6 @@ public:
 
     /// Apply to a profile: returns the physical-space profile.
     BlockProfile apply(const BlockProfile& profile) const;
-
-    /// Apply to a trace: returns the trace as seen after the remap stage.
-    MemTrace apply(const MemTrace& trace) const;
 
 private:
     std::uint64_t block_size_;

@@ -166,7 +166,7 @@ void to_json(JsonWriter& w, const TransformSearchResult& result) {
 
 TransformSearchResult search_transform(std::span<const std::uint32_t> words,
                                        const TransformSearchParams& params) {
-    require(params.max_gates <= 1024, "TransformSearchParams: absurd gate budget");
+    require(params.max_gates <= kMaxTransformGates, "TransformSearchParams: absurd gate budget");
     static MetricCounter& searches = MetricsRegistry::instance().counter("encoding.searches");
     static MetricCounter& gates_selected =
         MetricsRegistry::instance().counter("encoding.gates_selected");

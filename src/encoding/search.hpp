@@ -23,6 +23,9 @@ namespace memopt {
 
 class JsonWriter;
 
+/// Largest decoder gate budget search_transform accepts.
+inline constexpr std::size_t kMaxTransformGates = 1024;
+
 /// Search configuration.
 struct TransformSearchParams {
     std::size_t max_gates = 16;   ///< hardware budget (XOR gates in the decoder)

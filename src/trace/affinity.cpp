@@ -49,45 +49,12 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     }
 }
 
-/// Consecutive-access block transitions over a chunked replay. The
-/// predecessor of the chunk's first access is the last context address
-/// (empty context = start of the trace).
-void transition_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> context,
-                      unsigned shift, std::size_t num_blocks, AffinityAccumulator& acc) {
-    if (chunk.empty()) return;
-    std::size_t i = 0;
-    std::size_t prev;
-    if (context.empty()) {
-        prev = block_of_checked(chunk.addrs[0], shift, num_blocks);
-        i = 1;
-    } else {
-        prev = block_of_checked(context.back(), shift, num_blocks);
-    }
-    for (; i < chunk.size(); ++i) {
-        const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-        if (block != prev) acc.add(prev, block);
-        prev = block;
-    }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // AffinityMatrix
 
-AffinityMatrix::AffinityMatrix(std::size_t num_blocks) : n_(num_blocks) {
-    require(num_blocks > 0, "AffinityMatrix: num_blocks must be > 0");
-    tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-}
-
-std::size_t AffinityMatrix::tri_index(std::size_t a, std::size_t b) const {
-    MEMOPT_ASSERT(a < n_ && b < n_);
-    if (a > b) std::swap(a, b);
-    // Row-major upper triangle: row a starts at a*n - a*(a-1)/2 - a offsets.
-    return a * n_ - a * (a + 1) / 2 + b;
-}
-
-double AffinityMatrix::sparse_at(std::size_t a, std::size_t b) const {
+double AffinityMatrix::lookup(std::size_t a, std::size_t b) const {
     const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[a]);
     const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[a + 1]);
     const auto it = std::lower_bound(first, last, static_cast<std::uint32_t>(b));
@@ -96,63 +63,35 @@ double AffinityMatrix::sparse_at(std::size_t a, std::size_t b) const {
 }
 
 std::size_t AffinityMatrix::stored_pairs() const {
-    if (sparse_) {
-        std::size_t diagonal = 0;
-        for (std::size_t a = 0; a < n_; ++a) {
-            if (sparse_at(a, a) != 0.0) ++diagonal;
-        }
-        return (col_.size() - diagonal) / 2 + diagonal;
+    std::size_t diagonal = 0;
+    for (std::size_t a = 0; a < n_; ++a) {
+        if (lookup(a, a) != 0.0) ++diagonal;
     }
-    return static_cast<std::size_t>(
-        std::count_if(tri_.begin(), tri_.end(), [](double v) { return v != 0.0; }));
+    return (col_.size() - diagonal) / 2 + diagonal;
 }
 
 double AffinityMatrix::at(std::size_t a, std::size_t b) const {
     require(a < n_ && b < n_, "AffinityMatrix::at out of range");
-    return sparse_ ? sparse_at(a, b) : tri_[tri_index(a, b)];
-}
-
-void AffinityMatrix::add(std::size_t a, std::size_t b, double w) {
-    require(a < n_ && b < n_, "AffinityMatrix::add out of range");
-    require(!sparse_, "AffinityMatrix::add: sparse matrix is immutable");
-    tri_[tri_index(a, b)] += w;
-}
-
-double AffinityMatrix::affinity_to_set(std::size_t a,
-                                       const std::vector<std::size_t>& members) const {
-    double sum = 0.0;
-    for (std::size_t m : members) sum += at(a, m);
-    return sum;
+    return lookup(a, b);
 }
 
 double AffinityMatrix::total() const {
+    // Upper-triangle entries in row-major order.
     double sum = 0.0;
-    if (sparse_) {
-        // Upper-triangle entries in row-major order: the same accumulation
-        // order as the dense loop below (zeros contribute nothing there).
-        for (std::size_t a = 0; a < n_; ++a) {
-            for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
-                if (col_[e] >= a) sum += val_[e];
-            }
+    for (std::size_t a = 0; a < n_; ++a) {
+        for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
+            if (col_[e] >= a) sum += val_[e];
         }
-        return sum;
     }
-    for (double v : tri_) sum += v;
     return sum;
 }
 
 double AffinityMatrix::max_offdiagonal() const {
     double best = 0.0;
-    if (sparse_) {
-        for (std::size_t a = 0; a < n_; ++a) {
-            for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
-                if (col_[e] > a) best = std::max(best, val_[e]);
-            }
-        }
-        return best;
-    }
     for (std::size_t a = 0; a < n_; ++a) {
-        for (std::size_t b = a + 1; b < n_; ++b) best = std::max(best, tri_[tri_index(a, b)]);
+        for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
+            if (col_[e] > a) best = std::max(best, val_[e]);
+        }
     }
     return best;
 }
@@ -346,65 +285,81 @@ void AffinityAccumulator::merge(AffinityAccumulator&& other) {
     run_ = merge_runs(std::move(mine), other.take_run());
 }
 
-AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
-    AffinityMatrix m(1);  // placeholder; reshaped below
-    m.n_ = n_;
-    if (n_ <= dense_max_blocks) {
-        // Dense result.
-        m.sparse_ = false;
-        m.row_ptr_.clear();
-        m.col_.clear();
-        m.val_.clear();
-        if (dense_) {
-            m.tri_ = std::move(tri_);
-            tri_.clear();
-        } else {
-            m.tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-            for (const PairCount& e : take_run()) {
-                const auto a = static_cast<std::size_t>(e.key >> 32);
-                const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
-                m.tri_[a * n_ - a * (a + 1) / 2 + b] = static_cast<double>(e.count);
-            }
+AffinityMatrix AffinityAccumulator::finalize_triangle() {
+    // Count each CSR row, then fill the rows in order. When row a is
+    // reached, the rows before it have already scattered its neighbours
+    // below the diagonal into it; its triangle row (blocks b >= a) follows
+    // them, and its off-diagonal entries are scattered on to rows b. Every
+    // row thus fills in ascending column order. Both triangle scans are
+    // branch-free: the fill compacts the row into scratch, writing each
+    // entry and moving past it only when it is non-zero.
+    const std::size_t n = n_;
+    const std::vector<double> tri = std::exchange(tri_, {});
+    auto row_of = [&](std::size_t a) { return tri.data() + (a * n - a * (a + 1) / 2); };
+    AffinityMatrix m(n);
+    m.row_ptr_.assign(n + 1, 0);
+    std::size_t* count = m.row_ptr_.data() + 1;
+    for (std::size_t a = 0; a < n; ++a) {
+        const double* row = row_of(a);
+        auto own = static_cast<std::size_t>(row[a] != 0.0);
+        for (std::size_t b = a + 1; b < n; ++b) {
+            const auto nonzero = static_cast<std::size_t>(row[b] != 0.0);
+            own += nonzero;
+            count[b] += nonzero;
         }
-        return m;
+        count[a] += own;
     }
+    for (std::size_t a = 0; a < n; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
+    m.col_.resize(m.row_ptr_[n]);
+    m.val_.resize(m.row_ptr_[n]);
+    std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+    std::vector<std::uint32_t> cols(n);
+    std::vector<double> vals(n);
+    for (std::size_t a = 0; a < n; ++a) {
+        const double* row = row_of(a);
+        std::size_t len = 0;
+        for (std::size_t b = a; b < n; ++b) {
+            cols[len] = static_cast<std::uint32_t>(b);
+            vals[len] = row[b];
+            len += static_cast<std::size_t>(row[b] != 0.0);
+        }
+        std::copy_n(cols.begin(), len, m.col_.begin() + static_cast<std::ptrdiff_t>(cursor[a]));
+        std::copy_n(vals.begin(), len, m.val_.begin() + static_cast<std::ptrdiff_t>(cursor[a]));
+        for (std::size_t i = 0; i < len; ++i) {
+            const std::size_t b = cols[i];
+            if (b == a) continue;
+            m.col_[cursor[b]] = static_cast<std::uint32_t>(a);
+            m.val_[cursor[b]] = vals[i];
+            ++cursor[b];
+        }
+    }
+    return m;
+}
 
-    // CSR result from the upper-triangle pairs in ascending (a, b) order,
-    // scattered into both adjacency rows. That order fills every row's
+AffinityMatrix AffinityAccumulator::finalize_run() {
+    // The run holds the upper-triangle pairs in ascending (a, b) order; each
+    // is scattered into both adjacency rows. That order fills every row's
     // columns ascending: row r first receives its below-diagonal neighbours
     // (from pairs whose larger element is r, arriving as the smaller element
     // ascends), then its above-diagonal neighbours (from its own row's pairs).
-    std::vector<PairCount> run;
-    if (dense_) {
-        for (std::size_t a = 0; a < n_; ++a) {
-            const std::size_t row_base = a * n_ - a * (a + 1) / 2;
-            for (std::size_t b = a; b < n_; ++b) {
-                const double w = tri_[row_base + b];
-                if (w != 0.0) run.push_back({pair_key(a, b), static_cast<std::uint64_t>(w)});
-            }
-        }
-        tri_.clear();
-    } else {
-        run = take_run();
-    }
-
-    m.sparse_ = true;
-    m.tri_.clear();
+    const std::vector<PairCount> run = take_run();
+    auto pair_of = [](const PairCount& e) {
+        return std::pair{static_cast<std::size_t>(e.key >> 32),
+                         static_cast<std::size_t>(e.key & 0xFFFFFFFFu)};
+    };
+    AffinityMatrix m(n_);
     m.row_ptr_.assign(n_ + 1, 0);
     for (const PairCount& e : run) {
-        const auto a = static_cast<std::size_t>(e.key >> 32);
-        const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
+        const auto [a, b] = pair_of(e);
         ++m.row_ptr_[a + 1];
         if (a != b) ++m.row_ptr_[b + 1];
     }
     for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
-    const std::size_t nnz = m.row_ptr_[n_];
-    m.col_.assign(nnz, 0);
-    m.val_.assign(nnz, 0.0);
+    m.col_.resize(m.row_ptr_[n_]);
+    m.val_.resize(m.row_ptr_[n_]);
     std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
     for (const PairCount& e : run) {
-        const auto a = static_cast<std::size_t>(e.key >> 32);
-        const auto b = static_cast<std::size_t>(e.key & 0xFFFFFFFFu);
+        const auto [a, b] = pair_of(e);
         const auto w = static_cast<double>(e.count);
         m.col_[cursor[a]] = static_cast<std::uint32_t>(b);
         m.val_[cursor[a]] = w;
@@ -418,22 +373,12 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
     return m;
 }
 
+AffinityMatrix AffinityAccumulator::finalize() {
+    return dense_ ? finalize_triangle() : finalize_run();
+}
+
 // ---------------------------------------------------------------------------
 // Builders
-
-AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
-                                   std::size_t jobs) {
-    const unsigned shift = log2_exact(profile.block_size());
-    const std::size_t num_blocks = profile.num_blocks();
-    AffinityAccumulator acc = stream_accumulate(
-        source, 1, jobs, [&] { return AffinityAccumulator(num_blocks); },
-        [&](AffinityAccumulator& out, const TraceChunk& chunk,
-            std::span<const std::uint64_t> context) {
-            transition_chunk(chunk, context, shift, num_blocks, out);
-        },
-        [](AffinityAccumulator& into, AffinityAccumulator& from) { into.merge(std::move(from)); });
-    return acc.finalize();
-}
 
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs) {

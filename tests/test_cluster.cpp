@@ -65,7 +65,12 @@ TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
     const AddressMap map(256, perm);
 
     const BlockProfile direct = map.apply(profile);
-    const MemTrace remapped = map.apply(trace);
+    MemTrace remapped;
+    for (const MemAccess& a : trace.accesses()) {
+        MemAccess moved = a;
+        moved.addr = map.map_addr(a.addr);
+        remapped.add(moved);
+    }
     MaterializedSource remapped_source(remapped);
     const BlockProfile via_trace = BlockProfile::from_source(remapped_source, 256);
     ASSERT_EQ(direct.num_blocks(), via_trace.num_blocks());
@@ -105,6 +110,15 @@ TEST(FrequencyClustering, IsAlwaysABijection) {
     EXPECT_EQ(map.num_blocks(), p.num_blocks());
 }
 
+/// The affinity over `num_blocks` blocks after `count` co-accesses of
+/// blocks a and b.
+AffinityMatrix pair_affinity(std::size_t num_blocks, std::size_t a, std::size_t b,
+                             std::size_t count) {
+    AffinityAccumulator acc(num_blocks);
+    for (std::size_t i = 0; i < count; ++i) acc.add(a, b);
+    return acc.finalize();
+}
+
 TEST(AffinityClustering, ProducesValidMapAndKeepsHotSeedFirst) {
     const MemTrace trace = two_phase_trace({.span_bytes = 8192, .num_accesses = 4000,
                                             .write_fraction = 0.3, .seed = 11});
@@ -122,8 +136,7 @@ TEST(AffinityClustering, ColdBlocksLandAtTheTail) {
     BlockProfile p(256, 6);
     p.add_counts(1, 10, 0);
     p.add_counts(3, 20, 0);
-    AffinityMatrix aff(6);
-    aff.add(1, 3, 5.0);
+    const AffinityMatrix aff = pair_affinity(6, 1, 3, 5);
     const AddressMap map = affinity_clustering(p, aff);
     EXPECT_LT(map.map_block(1), 2u);
     EXPECT_LT(map.map_block(3), 2u);
@@ -138,8 +151,7 @@ TEST(AffinityClustering, GroupsCoAccessedBlocks) {
     p.add_counts(0, 100, 0);
     p.add_counts(9, 100, 0);
     p.add_counts(5, 100, 0);
-    AffinityMatrix aff(10);
-    aff.add(0, 9, 100.0);
+    const AffinityMatrix aff = pair_affinity(10, 0, 9, 100);
     const AddressMap map = affinity_clustering(p, aff);
     const auto pos0 = map.map_block(0);
     const auto pos9 = map.map_block(9);
@@ -151,9 +163,9 @@ TEST(AffinityClustering, GroupsCoAccessedBlocks) {
 TEST(AffinityClustering, ValidatesInputs) {
     BlockProfile p(256, 4);
     p.add_counts(0, 1, 0);
-    AffinityMatrix wrong(5);
+    const AffinityMatrix wrong = AffinityAccumulator(5).finalize();
     EXPECT_THROW(affinity_clustering(p, wrong), Error);
-    AffinityMatrix ok(4);
+    const AffinityMatrix ok = AffinityAccumulator(4).finalize();
     EXPECT_THROW(affinity_clustering(p, ok, {.tail_window = 0}), Error);
 }
 

@@ -1,12 +1,13 @@
 // Differential tests: optimized kernels pinned against deliberately naive
 // reference implementations on seeded random inputs.
 //
-// The affinity builders count block pairs in flat tables that are merged as
-// sorted runs across shards; the references here walk every access pair
-// (i, j) with 0 < j - i < window into a std::map. Both sides of
-// kAffinityDenseMaxBlocks, both replay paths of stream_accumulate (stable
-// MaterializedSource shards, non-stable SyntheticSource per-slot states)
-// and several job counts must reproduce the reference exactly.
+// The affinity builder counts block pairs in a dense triangle or in flat
+// tables merged as sorted runs across shards; the references here walk
+// every access pair (i, j) with 0 < j - i < window into a std::map. Both
+// accumulator storages (either side of kAffinityDenseMaxBlocks), both
+// replay paths of stream_accumulate (stable MaterializedSource shards,
+// non-stable SyntheticSource per-slot states) and several job counts must
+// reproduce the reference exactly.
 //
 // The bank-activity replay sums per-bank access gaps over parallel shards,
 // and the sleepy replay settles only the accessed bank; their references
@@ -121,7 +122,8 @@ SyntheticSpec spec_for(const TraceCase& c, std::uint64_t seed) {
 }
 
 // 140,000 accesses give 2 shards; 540,000 give 8 at jobs 8 (see
-// kMinAccessesPerTask). 512 blocks accumulate dense, 2,048 sparse.
+// kMinAccessesPerTask). 512 blocks accumulate in the triangle, 2,048 in the
+// pair table.
 const TraceCase kCases[] = {
     {512, 140'000, 32},
     {512, 540'000, 4},
@@ -129,13 +131,11 @@ const TraceCase kCases[] = {
     {2048, 540'000, 4},
 };
 
-/// Runs `build(source, profile, window, jobs)` at jobs 1/4/8 over a stable
-/// and a non-stable source of each case's trace and checks every result
-/// against the naive pair counts. The reference window is `fixed_window`
-/// when the builder has one of its own (transitions: 2), else, with
-/// `fixed_window == 0`, the case's window.
-template <typename Build>
-void check_against_reference(std::size_t fixed_window, const Build& build) {
+/// Runs windowed_affinity at jobs 1/4/8 over a stable and a non-stable
+/// source of each case's trace and checks every result against the naive
+/// pair counts. The window is `fixed_window`, or with `fixed_window == 0`
+/// the case's window.
+void check_against_reference(std::size_t fixed_window) {
     std::uint64_t seed = 101;
     for (const TraceCase& c : kCases) {
         const SyntheticSpec spec = spec_for(c, seed++);
@@ -155,32 +155,22 @@ void check_against_reference(std::size_t fixed_window, const Build& build) {
                              std::to_string(c.accesses) + ", window " +
                              std::to_string(window) + ", jobs " + std::to_string(jobs) +
                              (source == &stable ? ", stable" : ", streamed"));
-                const AffinityMatrix m = build(*source, profile, c.window, jobs);
-                ASSERT_EQ(m.is_sparse(), c.blocks > kAffinityDenseMaxBlocks);
-                expect_matches(m, ref);
+                expect_matches(windowed_affinity(*source, profile, window, jobs), ref);
             }
         }
     }
 }
 
-TEST(DifferentialAffinity, WindowedMatchesNaiveReference) {
-    check_against_reference(0, [](TraceSource& source, const BlockProfile& profile,
-                                  std::size_t window, std::size_t jobs) {
-        return windowed_affinity(source, profile, window, jobs);
-    });
-}
+TEST(DifferentialAffinity, WindowedMatchesNaiveReference) { check_against_reference(0); }
 
 TEST(DifferentialAffinity, TransitionMatchesNaiveReference) {
-    // A transition is a co-access at distance 1: the window-2 pair set.
-    check_against_reference(2, [](TraceSource& source, const BlockProfile& profile,
-                                  std::size_t, std::size_t jobs) {
-        return transition_affinity(source, profile, jobs);
-    });
+    // A transition is a co-access at distance 1: the window-2 pair set,
+    // whose sliding window is a one-slot ring.
+    check_against_reference(2);
 }
 
 TEST(DifferentialAffinity, AccumulatorGrowthAndMergeMatchReference) {
-    // 1,500 blocks: sparse accumulation, yet small enough to finalize dense
-    // too. Accumulator `a` takes 20,000 distinct pairs, far beyond three
+    // 1,500 blocks: pair-table accumulation. Accumulator `a` takes 20,000 distinct pairs, far beyond three
     // doublings of its pair table; `b` draws from a disjoint block range,
     // `c` from a range overlapping `a`'s.
     const std::size_t n = 1500;
@@ -207,25 +197,17 @@ TEST(DifferentialAffinity, AccumulatorGrowthAndMergeMatchReference) {
     const Adds adds_c = draw(350, 1050, 8'000);
     const Adds adds_after = draw(0, 1500, 3'000);
 
-    auto accumulate = [&] {
-        auto fed = [&](const Adds& adds) {
-            AffinityAccumulator acc(n);
-            for (const auto& [x, y] : adds) acc.add(x, y);
-            return acc;
-        };
-        AffinityAccumulator a = fed(adds_a);
-        a.merge(fed(adds_b));
-        a.merge(fed(adds_c));
-        // Counting continues after a merge: the new table joins the run.
-        for (const auto& [x, y] : adds_after) a.add(x, y);
-        return a;
+    auto fed = [&](const Adds& adds) {
+        AffinityAccumulator acc(n);
+        for (const auto& [x, y] : adds) acc.add(x, y);
+        return acc;
     };
-    const AffinityMatrix sparse = accumulate().finalize();
-    const AffinityMatrix dense = accumulate().finalize(n);
-    ASSERT_TRUE(sparse.is_sparse());
-    ASSERT_FALSE(dense.is_sparse());
-    expect_matches(sparse, ref);
-    expect_matches(dense, ref);
+    AffinityAccumulator a = fed(adds_a);
+    a.merge(fed(adds_b));
+    a.merge(fed(adds_c));
+    // Counting continues after a merge: the new table joins the run.
+    for (const auto& [x, y] : adds_after) a.add(x, y);
+    expect_matches(a.finalize(), ref);
 }
 
 // ------------------------------------------------ bank-activity replays ----

@@ -222,24 +222,23 @@ TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
     const MemTrace trace = materialize_synthetic(spec);
     MaterializedSource reference(trace);
     const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
-    const AffinityMatrix t_expected = transition_affinity(reference, profile, 1);
+    const AffinityMatrix t_expected = windowed_affinity(reference, profile, 2, 1);
     const AffinityMatrix w_expected = windowed_affinity(reference, profile, 16, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
-        expect_matrices_equal(transition_affinity(source, profile, jobs), t_expected);
+        expect_matrices_equal(windowed_affinity(source, profile, 2, jobs), t_expected);
         expect_matrices_equal(windowed_affinity(source, profile, 16, jobs), w_expected);
     }
 }
 
 TEST(StreamEquivalenceTest, SparseAffinityMatchesOnLargeSpans) {
-    // > 1024 blocks at 256 B forces the CSR representation.
+    // > 1024 blocks at 256 B: the pair-table accumulator.
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=1048576,n=150000,seed=21");
     const MemTrace trace = materialize_synthetic(spec);
     MaterializedSource reference(trace);
     const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
     ASSERT_GT(profile.num_blocks(), kAffinityDenseMaxBlocks);
     const AffinityMatrix expected = windowed_affinity(reference, profile, 8, 1);
-    ASSERT_TRUE(expected.is_sparse());
     SyntheticSource source(spec, 10000);
     expect_matrices_equal(windowed_affinity(source, profile, 8, 8), expected);
 }

@@ -169,7 +169,8 @@ TEST(Affinity, TransitionCountsAdjacentBlocks) {
     t.add_read(0);     // same block, no edge
     MaterializedSource src(t);
     const BlockProfile p = BlockProfile::from_source(src, 256);
-    const AffinityMatrix m = transition_affinity(src, p);
+    // A window of 2 pairs each access with its predecessor only.
+    const AffinityMatrix m = windowed_affinity(src, p, 2);
     EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(m.at(1, 0), 2.0);
     EXPECT_DOUBLE_EQ(m.total(), 2.0);
@@ -199,11 +200,19 @@ TEST(Affinity, WindowValidation) {
 }
 
 TEST(Affinity, SetQueryAndSymmetry) {
-    AffinityMatrix m(4);
-    m.add(1, 3, 2.5);
-    m.add(3, 1, 0.5);
+    AffinityAccumulator acc(4);
+    acc.add(1, 3);
+    acc.add(1, 3);
+    acc.add(3, 1);
+    acc.add(2, 2);
+    const AffinityMatrix m = acc.finalize();
     EXPECT_DOUBLE_EQ(m.at(1, 3), 3.0);
-    EXPECT_DOUBLE_EQ(m.affinity_to_set(1, {0, 3}), 3.0);
+    EXPECT_DOUBLE_EQ(m.at(3, 1), 3.0);
+    EXPECT_DOUBLE_EQ(m.at(0, 3), 0.0);
+    EXPECT_DOUBLE_EQ(m.at(2, 2), 1.0);
+    EXPECT_EQ(m.stored_pairs(), 2u);
+    EXPECT_DOUBLE_EQ(m.total(), 4.0);
+    EXPECT_DOUBLE_EQ(m.max_offdiagonal(), 3.0);
     EXPECT_THROW(m.at(4, 0), Error);
 }
 
@@ -507,7 +516,7 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
     MaterializedSource src(t);
     const BlockProfile p1 = BlockProfile::from_source(src, 256, 1);
     const AffinityMatrix w1 = windowed_affinity(src, p1, 8, 1);
-    const AffinityMatrix a1 = transition_affinity(src, p1, 1);
+    const AffinityMatrix a1 = windowed_affinity(src, p1, 2, 1);
     for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
         const BlockProfile pj = BlockProfile::from_source(src, 256, jobs);
         ASSERT_EQ(pj.num_blocks(), p1.num_blocks());
@@ -516,7 +525,7 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
             EXPECT_EQ(pj.counts(b).writes, p1.counts(b).writes) << b;
         }
         const AffinityMatrix wj = windowed_affinity(src, pj, 8, jobs);
-        const AffinityMatrix aj = transition_affinity(src, pj, jobs);
+        const AffinityMatrix aj = windowed_affinity(src, pj, 2, jobs);
         EXPECT_EQ(wj.total(), w1.total());
         EXPECT_EQ(aj.total(), a1.total());
         for (std::size_t a = 0; a < p1.num_blocks(); ++a) {
@@ -530,45 +539,45 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
 
 // ------------------------------------------------- CSR affinity storage ----
 
-// Forcing the sparse representation (dense_max_blocks = 0) must reproduce
-// the dense matrix entry for entry, including neighbour iteration order.
-TEST(AffinityCsr, SparseMatchesDense) {
-    const MemTrace t = scattered_hotspot_trace({
-        .base = {.span_bytes = 64 * 256, .num_accesses = 50000, .write_fraction = 0.3,
-                 .seed = 23},
-        .num_hotspots = 4,
-        .hotspot_bytes = 512,
-        .hot_fraction = 0.8,
-    });
-    MaterializedSource src(t);
-    const BlockProfile p = BlockProfile::from_source(src, 256);
-    const auto addrs = t.addrs();
-
-    AffinityAccumulator acc_dense(p.num_blocks());
-    AffinityAccumulator acc_sparse(p.num_blocks());
-    for (std::size_t i = 1; i < t.size(); ++i) {
-        const std::size_t a = static_cast<std::size_t>(addrs[i - 1] / 256);
-        const std::size_t b = static_cast<std::size_t>(addrs[i] / 256);
-        acc_dense.add(a, b);
-        acc_sparse.add(a, b);
+// The accumulator counts in a dense triangle up to kAffinityDenseMaxBlocks
+// blocks and in a pair table above. One pair multiset over the first 1,024
+// blocks, fed to an accumulator of each kind, must give the same matrix
+// entry for entry, including neighbour iteration order.
+TEST(AffinityCsr, TriangleAndTableAccumulatorsAgree) {
+    const std::size_t n = kAffinityDenseMaxBlocks;
+    Rng rng(23);
+    AffinityAccumulator triangle(n);
+    AffinityAccumulator table(n + 1);
+    for (int i = 0; i < 30000; ++i) {
+        // Half the pairs fall in a 32-block hotspot, so counts repeat; the
+        // diagonal is drawn too.
+        const std::size_t range = i % 2 == 0 ? 32 : n;
+        const auto a = static_cast<std::size_t>(rng.next_below(range));
+        const auto b = static_cast<std::size_t>(rng.next_below(range));
+        triangle.add(a, b);
+        table.add(a, b);
     }
-    const AffinityMatrix dense = acc_dense.finalize();
-    const AffinityMatrix sparse = acc_sparse.finalize(0);
-    ASSERT_FALSE(dense.is_sparse());
-    ASSERT_TRUE(sparse.is_sparse());
+    const AffinityMatrix tri = triangle.finalize();
+    const AffinityMatrix tab = table.finalize();
+    ASSERT_EQ(tri.num_blocks(), n);
+    ASSERT_EQ(tab.num_blocks(), n + 1);
 
-    ASSERT_EQ(dense.num_blocks(), sparse.num_blocks());
-    EXPECT_EQ(dense.total(), sparse.total());
-    EXPECT_EQ(dense.max_offdiagonal(), sparse.max_offdiagonal());
-    for (std::size_t a = 0; a < dense.num_blocks(); ++a) {
-        for (std::size_t b = 0; b < dense.num_blocks(); ++b) {
-            ASSERT_EQ(dense.at(a, b), sparse.at(a, b)) << a << "," << b;
+    EXPECT_EQ(tri.stored_pairs(), tab.stored_pairs());
+    EXPECT_EQ(tri.total(), tab.total());
+    EXPECT_EQ(tri.max_offdiagonal(), tab.max_offdiagonal());
+    EXPECT_GT(tri.max_offdiagonal(), 1.0);
+    for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = 0; b < n; ++b) {
+            ASSERT_EQ(tri.at(a, b), tab.at(a, b)) << a << "," << b;
         }
-        std::vector<std::pair<std::size_t, double>> nd, ns;
-        dense.for_each_neighbor(a, [&](std::size_t b, double w) { nd.emplace_back(b, w); });
-        sparse.for_each_neighbor(a, [&](std::size_t b, double w) { ns.emplace_back(b, w); });
-        ASSERT_EQ(nd, ns) << "row " << a;
+        std::vector<std::pair<std::size_t, double>> nt, nb;
+        tri.for_each_neighbor(a, [&](std::size_t b, double w) { nt.emplace_back(b, w); });
+        tab.for_each_neighbor(a, [&](std::size_t b, double w) { nb.emplace_back(b, w); });
+        ASSERT_EQ(nt, nb) << "row " << a;
     }
+    std::size_t last_row = 0;
+    tab.for_each_neighbor(n, [&](std::size_t, double) { ++last_row; });
+    EXPECT_EQ(last_row, 0u);
 }
 
 TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
@@ -593,8 +602,6 @@ TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
 
     const AffinityMatrix ma = fwd.finalize();
     const AffinityMatrix mb = rev.finalize();
-    ASSERT_TRUE(ma.is_sparse());
-    ASSERT_TRUE(mb.is_sparse());
     EXPECT_EQ(ma.stored_pairs(), mb.stored_pairs());
     EXPECT_EQ(ma.total(), mb.total());
     for (const auto& [a, b] : adds) {
