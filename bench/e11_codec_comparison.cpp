@@ -53,9 +53,9 @@ int main() {
         std::array<double, 4> ratios;  // diff, zero-run, bdi, dict
     };
     const auto rows = parallel_map(bench::run_suite(), [&](const bench::KernelRunPtr& run) {
-        const DictionaryCodec dict = DictionaryCodec::train(run->result.data_trace, 16);
-        const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
         MaterializedSource source(run->result.data_trace);
+        const DictionaryCodec dict = DictionaryCodec::train(source, 16);
+        const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
         Row row;
         row.name = run->name;
         for (std::size_t c = 0; c < codecs.size(); ++c) {

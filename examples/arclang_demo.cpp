@@ -11,6 +11,7 @@
 #include "core/study.hpp"
 #include "lang/codegen.hpp"
 #include "support/string_util.hpp"
+#include "trace/source.hpp"
 
 int main() {
     using namespace memopt;
@@ -60,7 +61,8 @@ out(cks);
     // Full study: partitioning/clustering, compression, bus encoding.
     StudyParams params;
     params.flow.constraints.max_banks = 4;
-    const StudyReport report = study_trace("movavg", run.data_trace, program.data,
+    MaterializedSource data_trace(run.data_trace);
+    const StudyReport report = study_trace("movavg", data_trace, program.data,
                                            program.data_base, run.fetch_stream, params);
     std::printf("optimization study for the compiled kernel:\n");
     std::printf("  clustering savings vs partitioning : %6.1f %%\n",

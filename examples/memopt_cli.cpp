@@ -26,7 +26,9 @@
 // Exit codes: 0 = success, 1 = usage error (bad command line),
 // 2 = data or environment error (memopt::Error — missing kernel, unreadable
 // file, malformed trace, ...), 3 = interrupted (deadline or signal; partial
-// results were checkpointed / reported, rerun with --resume to continue).
+// results were checkpointed / reported, rerun with --resume to continue),
+// 4 = out of memory (an allocation failed; the --json document is
+// discarded).
 //
 // Every command accepts a global `--jobs N` option bounding the worker
 // threads of the parallel runtime (equivalent to MEMOPT_JOBS=N; jobs=1 is
@@ -59,6 +61,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -245,7 +248,8 @@ int usage() {
               "exit codes:\n"
               "  0 success   1 usage error   2 data or environment error\n"
               "  3 interrupted by --deadline-sec or SIGINT/SIGTERM (partial results\n"
-              "    checkpointed; rerun with --resume)");
+              "    checkpointed; rerun with --resume)\n"
+              "  4 out of memory (no --json document is written)");
     return 1;
 }
 
@@ -317,7 +321,8 @@ int cmd_run(const Args& args, JsonWriter* jw) {
     std::printf("outputs      :");
     for (std::uint32_t v : r.output) std::printf(" 0x%08x", v);
     std::printf("\nhot symbols  :\n");
-    const auto traffic = symbolize_trace(program, r.data_trace);
+    MaterializedSource source(r.data_trace);
+    const auto traffic = symbolize_trace(program, source);
     for (std::size_t i = 0; i < traffic.size() && i < 6; ++i) {
         const SymbolTraffic& t = traffic[i];
         std::printf("  %-12s %6llu R %6llu W  (%4.1f%% of accesses)\n", t.name.c_str(),
@@ -406,11 +411,7 @@ int cmd_trace(const Args& args) {
                     opts.compress ? ", compressed" : "");
         return 0;
     }
-    atomic_write(out, [&](std::ostream& os) {
-        source->reset();  // commit retries re-run the body from the start
-        write_trace_text(os, *source);
-        require(os.good(), "trace: write failed for '" + out + "'");
-    });
+    save_trace(out, *source);
     std::printf("wrote %llu accesses to %s (text)\n", (unsigned long long)source->size(),
                 out.c_str());
     return 0;
@@ -524,7 +525,8 @@ int cmd_compress(const Args& args, JsonWriter* jw) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(run.data_trace, 16);
+    MaterializedSource source(run.data_trace);
+    const DictionaryCodec dict = DictionaryCodec::train(source, 16);
     const std::string codec_name = args.get("codec", "diff");
     const LineCodec* codec = nullptr;
     if (codec_name == "diff") codec = &diff;
@@ -533,7 +535,6 @@ int cmd_compress(const Args& args, JsonWriter* jw) {
     else if (codec_name == "dictionary") codec = &dict;
     else throw UsageError("compress: unknown codec '" + codec_name + "'");
 
-    MaterializedSource source(run.data_trace);
     const auto base = CompressedMemorySim(platform.config, nullptr)
                           .run(source, program.data, program.data_base);
     const auto comp = CompressedMemorySim(platform.config, codec)
@@ -620,7 +621,8 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(run.data_trace, 16);
+    MaterializedSource source(run.data_trace);
+    const DictionaryCodec dict = DictionaryCodec::train(source, 16);
     const std::string codec_name = args.get("codec", "none");
     if (codec_name == "none") config.codec = nullptr;
     else if (codec_name == "diff") config.codec = &diff;
@@ -641,7 +643,6 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     if (drowsy > 0.0) {
         FlowParams fp;
         fp.constraints.max_banks = 4;
-        MaterializedSource source(run.data_trace);
         const FlowResult fr = MemoryOptimizationFlow(fp).run(source, ClusterMethod::Frequency);
         const SleepReport sleep = evaluate_partition_sleepy(fr.solution.arch, fr.map, source,
                                                             fp.energy, SleepParams{});
@@ -916,6 +917,12 @@ int main(int argc, char** argv) {
         json_file.discard();
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
+    } catch (const std::bad_alloc& e) {
+        // Resource exhaustion, not bad data: the run asked for more memory
+        // than the process may have (e.g. under `ulimit -v`).
+        json_file.discard();
+        std::fprintf(stderr, "error: out of memory: %s\n", e.what());
+        return 4;
     } catch (const std::exception& e) {
         json_file.discard();
         std::fprintf(stderr, "error: %s\n", e.what());

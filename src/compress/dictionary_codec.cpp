@@ -47,12 +47,14 @@ DictionaryCodec train_from_counts(std::unordered_map<std::uint32_t, std::uint64_
 }
 }  // namespace
 
-DictionaryCodec DictionaryCodec::train(const MemTrace& trace, std::size_t entries) {
+DictionaryCodec DictionaryCodec::train(TraceSource& source, std::size_t entries) {
     std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    const auto values = trace.values();
-    const auto kinds = trace.kinds();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (kinds[i] == AccessKind::Write) ++counts[values[i]];
+    source.reset();
+    TraceChunk chunk;
+    while (source.next(chunk)) {
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            if (chunk.kinds[i] == AccessKind::Write) ++counts[chunk.values[i]];
+        }
     }
     return train_from_counts(counts, entries);
 }

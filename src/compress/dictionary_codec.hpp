@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "compress/codec.hpp"
-#include "trace/trace.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 
@@ -27,8 +27,9 @@ public:
     explicit DictionaryCodec(std::vector<std::uint32_t> dictionary);
 
     /// Train a dictionary of `entries` words from the write values of a
-    /// profiling trace (most frequent first; deterministic tie-break).
-    static DictionaryCodec train(const MemTrace& trace, std::size_t entries = 16);
+    /// profiling trace (most frequent first; deterministic tie-break). The
+    /// source is reset first and replayed once.
+    static DictionaryCodec train(TraceSource& source, std::size_t entries = 16);
 
     /// Train from a plain word stream.
     static DictionaryCodec train(std::span<const std::uint32_t> words,

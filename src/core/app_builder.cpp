@@ -22,7 +22,8 @@ Application application_from_kernels(const std::vector<std::string>& kernel_name
         const Kernel& kernel = kernel_by_name(kernel_names[k]);
         const AssembledProgram program = assemble(kernel.source);
         const RunResult run = Cpu(CpuConfig{}).run(program);
-        const std::vector<SymbolTraffic> traffic = symbolize_trace(program, run.data_trace);
+        MaterializedSource source(run.data_trace);
+        const std::vector<SymbolTraffic> traffic = symbolize_trace(program, source);
 
         KernelPhase phase;
         phase.name = kernel.name;

@@ -22,23 +22,22 @@ double StudyReport::compression_savings_pct() const {
     return percent_savings(base, opt);
 }
 
-StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
+StudyReport study_trace(const std::string& name, TraceSource& data_trace,
                         std::span<const std::uint8_t> image, std::uint64_t image_base,
                         std::span<const std::uint32_t> fetch_stream,
                         const StudyParams& params) {
-    require(!data_trace.empty(), "study_trace: empty data trace");
+    require(data_trace.size() > 0, "study_trace: empty data trace");
     StudyReport report;
     report.name = name;
 
-    MaterializedSource source(data_trace);
     const MemoryOptimizationFlow flow(params.flow);
-    report.memory = flow.compare(source, params.cluster_method);
+    report.memory = flow.compare(data_trace, params.cluster_method);
 
     const DiffCodec codec;
     report.compression_baseline =
-        CompressedMemorySim(params.platform.config, nullptr).run(source, image, image_base);
+        CompressedMemorySim(params.platform.config, nullptr).run(data_trace, image, image_base);
     report.compression =
-        CompressedMemorySim(params.platform.config, &codec).run(source, image, image_base);
+        CompressedMemorySim(params.platform.config, &codec).run(data_trace, image, image_base);
 
     if (!fetch_stream.empty())
         report.encoding = search_transform(fetch_stream, params.encoding);
@@ -50,8 +49,9 @@ StudyReport study_kernel(const Kernel& kernel, const StudyParams& params) {
     config.record_fetch_stream = true;
     const AssembledProgram program = assemble(kernel.source);
     const RunResult run = Cpu(config).run(program);
-    return study_trace(kernel.name, run.data_trace, program.data, program.data_base,
-                       run.fetch_stream, params);
+    MaterializedSource source(run.data_trace);
+    return study_trace(kernel.name, source, program.data, program.data_base, run.fetch_stream,
+                       params);
 }
 
 void to_json(JsonWriter& w, const StudyReport& report) {

@@ -65,8 +65,9 @@ StudyReport study_kernel(const Kernel& kernel, const StudyParams& params = Study
 /// Run the full study on externally supplied artifacts: a value-carrying
 /// data trace, the initial data image (may be empty), and the instruction
 /// fetch stream (may be empty: the encoding section is then skipped and
-/// left value-initialized).
-StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
+/// left value-initialized). Every pass over `data_trace` replays it from
+/// the start (each consumer resets the source).
+StudyReport study_trace(const std::string& name, TraceSource& data_trace,
                         std::span<const std::uint8_t> image, std::uint64_t image_base,
                         std::span<const std::uint32_t> fetch_stream,
                         const StudyParams& params = StudyParams{});

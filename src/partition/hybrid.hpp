@@ -35,7 +35,6 @@
 #include "energy/tech_model.hpp"
 #include "partition/bank.hpp"
 #include "partition/evaluate.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 

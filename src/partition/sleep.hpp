@@ -22,7 +22,6 @@
 #include "energy/report.hpp"
 #include "partition/bank.hpp"
 #include "partition/evaluate.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 

@@ -23,11 +23,6 @@ void write_text_chunk(std::ostream& os, const TraceChunk& chunk) {
 
 }  // namespace
 
-void write_trace_text(std::ostream& os, const MemTrace& trace) {
-    MaterializedSource source(trace);
-    write_trace_text(os, source);
-}
-
 void write_trace_text(std::ostream& os, TraceSource& source) {
     os << "# memopt trace v1: kind addr size cycle value\n";
     source.reset();
@@ -93,12 +88,13 @@ void reject_retired_trace_format(const std::string& path) {
                 "with the previous release: memopt_cli trace old.mtrc new.mtsc)");
 }
 
-void save_trace(const std::string& path, const MemTrace& trace) {
+void save_trace(const std::string& path, TraceSource& source) {
     reject_retired_trace_format(path);
     // Crash-safe: a killed run must never leave a truncated trace under the
-    // final name. atomic_write stages into <path>.tmp and renames on commit.
+    // final name. atomic_write stages into <path>.tmp and renames on commit;
+    // a retried commit re-runs the body, which rewinds the source.
     atomic_write(path, [&](std::ostream& os) {
-        write_trace_text(os, trace);
+        write_trace_text(os, source);
         require(os.good(), "save_trace: write failed for '" + path + "'");
     });
 }

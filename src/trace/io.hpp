@@ -21,12 +21,8 @@ namespace memopt {
 
 class TraceSource;
 
-/// Write `trace` in the text format.
-void write_trace_text(std::ostream& os, const MemTrace& trace);
-
-/// Streaming variant: write a chunked trace stream in the text format
-/// without materializing it (O(chunk) memory). Byte-identical to the
-/// MemTrace overload on the materialized equivalent.
+/// Write `source` in the text format (O(chunk) memory). Resets the source
+/// first, so the whole trace is written whatever was read before.
 void write_trace_text(std::ostream& os, TraceSource& source);
 
 /// Parse the text format. Throws memopt::Error with a line number on any
@@ -39,7 +35,9 @@ void reject_retired_trace_format(const std::string& path);
 
 /// Text-format file wrappers. Throw memopt::Error if the file cannot be
 /// opened or if `path` names a retired format (reject_retired_trace_format).
-void save_trace(const std::string& path, const MemTrace& trace);
+/// save_trace publishes crash-safely: a killed run never leaves a truncated
+/// file under `path`.
+void save_trace(const std::string& path, TraceSource& source);
 MemTrace load_trace(const std::string& path);
 
 }  // namespace memopt

@@ -356,14 +356,9 @@ auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_
             for (std::size_t s = 1; s < parts.size(); ++s) merge(out, parts[s]);
             return out;
         }
-        State state = make_state();
-        for (std::size_t k = 0; k < chunks.size(); ++k) {
-            CancellationToken::global().check();
-            const std::vector<std::uint64_t> ctx =
-                stream_detail::gather_context(chunks, k, context_size);
-            map_chunk(state, chunks[k], std::span<const std::uint64_t>(ctx));
-        }
-        return state;
+        // Too few chunks to shard: rewind and take the serial loop below,
+        // which sees the same chunks with the same context.
+        source.reset();
     }
 
     if (tasks <= 1) {

@@ -9,7 +9,6 @@
 #include "compress/diff_codec.hpp"
 #include "compress/zero_run.hpp"
 #include "support/durable/atomic_file.hpp"
-#include "support/durable/cancel.hpp"
 #include "support/durable/retry.hpp"
 #include "support/parallel.hpp"
 #include "support/string_util.hpp"
@@ -321,37 +320,6 @@ TraceSummary write_trace_stream(const std::string& path, const MemTrace& trace,
                                 const StreamWriteOptions& opts) {
     MaterializedSource source(trace, std::max<std::size_t>(opts.chunk_accesses, 1));
     return write_trace_stream(path, source, opts);
-}
-
-MemTrace read_trace_stream(const std::string& path) {
-    MmapBinarySource source(path);
-    MemTrace trace;
-    // The header count is only loosely bounded at open time (a compressed
-    // container's payloads have no fixed per-access size, so a crafted
-    // block_count/chunk pair can still claim up to block_count * 2^24
-    // accesses), so it must not drive an unbounded up-front allocation.
-    // The reserve hint is capped and the columns grow normally: a lying
-    // header fails fast on the first block's access-count mismatch, not in
-    // the allocator.
-    constexpr std::uint64_t kMaxReserveRecords = std::uint64_t{1} << 16;
-    trace.reserve(
-        static_cast<std::size_t>(std::min<std::uint64_t>(source.size(), kMaxReserveRecords)));
-    TraceChunk chunk;
-    while (source.next(chunk)) {
-        // Chunk boundaries are the cooperative cancellation points of the
-        // replay: a tripped deadline or signal stops between blocks.
-        CancellationToken::global().check();
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            MemAccess a;
-            a.addr = chunk.addrs[i];
-            a.cycle = chunk.cycles[i];
-            a.value = chunk.values[i];
-            a.size = chunk.sizes[i];
-            a.kind = chunk.kinds[i];
-            trace.add(a);
-        }
-    }
-    return trace;
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 namespace memopt {
 
 std::vector<SymbolTraffic> symbolize_trace(const AssembledProgram& program,
-                                           const MemTrace& trace) {
+                                           TraceSource& source) {
     // Data symbols sorted by address; each region runs to the next symbol
     // or the end of the data image. This is a build-once/look-up-often
     // table, so a sorted vector beats a node-based std::map: one contiguous
@@ -37,23 +37,25 @@ std::vector<SymbolTraffic> symbolize_trace(const AssembledProgram& program,
     }
     SymbolTraffic anonymous{"<stack/anon>", 0, 0, 0, 0};
 
-    const auto addrs = trace.addrs();
-    const auto kinds = trace.kinds();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const std::uint64_t addr = addrs[i];
-        SymbolTraffic* hit = &anonymous;
-        // Regions are ordered: binary search for the last base <= addr.
-        if (!regions.empty() && addr >= regions.front().base) {
-            const auto it = std::upper_bound(
-                regions.begin(), regions.end(), addr,
-                [](std::uint64_t a, const SymbolTraffic& r) { return a < r.base; });
-            SymbolTraffic& candidate = *std::prev(it);
-            if (addr < candidate.base + candidate.bytes) hit = &candidate;
-        }
-        if (kinds[i] == AccessKind::Read) {
-            ++hit->reads;
-        } else {
-            ++hit->writes;
+    source.reset();
+    TraceChunk chunk;
+    while (source.next(chunk)) {
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            const std::uint64_t addr = chunk.addrs[i];
+            SymbolTraffic* hit = &anonymous;
+            // Regions are ordered: binary search for the last base <= addr.
+            if (!regions.empty() && addr >= regions.front().base) {
+                const auto it = std::upper_bound(
+                    regions.begin(), regions.end(), addr,
+                    [](std::uint64_t a, const SymbolTraffic& r) { return a < r.base; });
+                SymbolTraffic& candidate = *std::prev(it);
+                if (addr < candidate.base + candidate.bytes) hit = &candidate;
+            }
+            if (chunk.kinds[i] == AccessKind::Read) {
+                ++hit->reads;
+            } else {
+                ++hit->writes;
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "isa/assembler.hpp"
-#include "trace/trace.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 
@@ -27,11 +27,12 @@ struct SymbolTraffic {
     std::uint64_t total() const { return reads + writes; }
 };
 
-/// Attribute every access of `trace` to the data symbols of `program`.
-/// Returns entries sorted by descending total accesses; symbols with zero
-/// traffic are omitted. The trailing "<stack/anon>" entry collects accesses
-/// outside the data image.
+/// Attribute every access of `source` to the data symbols of `program`
+/// (one pass from the start; the source is reset first). Returns entries
+/// sorted by descending total accesses; symbols with zero traffic are
+/// omitted. The trailing "<stack/anon>" entry collects accesses outside the
+/// data image.
 std::vector<SymbolTraffic> symbolize_trace(const AssembledProgram& program,
-                                           const MemTrace& trace);
+                                           TraceSource& source);
 
 }  // namespace memopt

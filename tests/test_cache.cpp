@@ -133,7 +133,7 @@ TEST(Cache, StatsAreConsistent) {
     CacheModel c(small_cache(2, 32, 1024));
     const MemTrace trace = uniform_trace({.span_bytes = 8192, .num_accesses = 5000,
                                           .write_fraction = 0.4, .seed = 3});
-    for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
+    for (std::size_t i = 0; i < trace.size(); ++i) c.access(trace.addrs()[i], trace.kinds()[i]);
     const CacheStats& s = c.stats();
     EXPECT_EQ(s.accesses(), 5000u);
     EXPECT_EQ(s.fills, s.read_misses + s.write_misses);  // write-allocate
@@ -160,7 +160,7 @@ TEST_P(LruInclusion, BiggerFullyAssociativeCacheNeverWorse) {
         cfg.line_bytes = 16;
         cfg.associativity = static_cast<unsigned>(size / 16);  // fully associative
         CacheModel c(cfg);
-        for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
+        for (std::size_t i = 0; i < trace.size(); ++i) c.access(trace.addrs()[i], trace.kinds()[i]);
         EXPECT_LE(c.stats().misses(), prev_misses) << "size=" << size;
         prev_misses = c.stats().misses();
     }
@@ -201,7 +201,7 @@ TEST(Replacement, RandomIsDeterministicAcrossRuns) {
                                           .write_fraction = 0.3, .seed = 12});
     auto run = [&]() {
         CacheModel c(cfg);
-        for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
+        for (std::size_t i = 0; i < trace.size(); ++i) c.access(trace.addrs()[i], trace.kinds()[i]);
         return c.stats().misses();
     };
     EXPECT_EQ(run(), run());
@@ -219,7 +219,8 @@ TEST(Replacement, RandomReplayAfterResetMatchesFreshModel) {
     auto hit_pattern = [&](CacheModel& c) {
         std::vector<bool> hits;
         hits.reserve(trace.size());
-        for (const MemAccess& a : trace.accesses()) hits.push_back(c.access(a.addr, a.kind).hit);
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            hits.push_back(c.access(trace.addrs()[i], trace.kinds()[i]).hit);
         return hits;
     };
     CacheModel model(cfg);
@@ -246,9 +247,9 @@ TEST(Replacement, LruBeatsRandomOnReuseFriendlyWorkloads) {
     });
     CacheModel lru(lru_cfg);
     CacheModel rnd(rnd_cfg);
-    for (const MemAccess& a : trace.accesses()) {
-        lru.access(a.addr, a.kind);
-        rnd.access(a.addr, a.kind);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        lru.access(trace.addrs()[i], trace.kinds()[i]);
+        rnd.access(trace.addrs()[i], trace.kinds()[i]);
     }
     EXPECT_LE(lru.stats().misses(), rnd.stats().misses());
 }
@@ -290,7 +291,7 @@ TEST(Hierarchy, TrafficConservation) {
     CacheHierarchy h(small_cache(2, 16, 512), small_cache(4, 32, 4096));
     const MemTrace trace = uniform_trace({.span_bytes = 32768, .num_accesses = 20000,
                                           .write_fraction = 0.3, .seed = 9});
-    for (const MemAccess& a : trace.accesses()) h.access(a.addr, a.kind);
+    for (std::size_t i = 0; i < trace.size(); ++i) h.access(trace.addrs()[i], trace.kinds()[i]);
     h.flush();
     // Everything that was fetched from memory was either still resident at
     // flush time or had been written back (clean evictions drop data, so

@@ -66,9 +66,9 @@ TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
 
     const BlockProfile direct = map.apply(profile);
     MemTrace remapped;
-    for (const MemAccess& a : trace.accesses()) {
-        MemAccess moved = a;
-        moved.addr = map.map_addr(a.addr);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        MemAccess moved = trace.at(i);
+        moved.addr = map.map_addr(moved.addr);
         remapped.add(moved);
     }
     MaterializedSource remapped_source(remapped);

@@ -238,7 +238,8 @@ TEST(DictionaryCodec, TrainsFromTraceWrites) {
     for (int i = 0; i < 100; ++i)
         trace.add(MemAccess{.addr = 0, .cycle = 0, .value = 0x9999, .size = 4,
                             .kind = AccessKind::Read});
-    const DictionaryCodec codec = DictionaryCodec::train(trace, 2);
+    MaterializedSource source(trace);
+    const DictionaryCodec codec = DictionaryCodec::train(source, 2);
     EXPECT_EQ(codec.dictionary()[0], 0x1234u);
 }
 

@@ -8,6 +8,7 @@
 #include "sched/scheduler.hpp"
 #include "support/assert.hpp"
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 namespace {
@@ -92,14 +93,16 @@ TEST(KernelStudy, ProducesAllSections) {
 
 TEST(KernelStudy, ExternalTraceWithoutFetchStream) {
     const RunResult run = run_kernel(kernel_by_name("qsort"));
-    const StudyReport report =
-        study_trace("external", run.data_trace, {}, 0x10000, {}, StudyParams{});
+    MaterializedSource source(run.data_trace);
+    const StudyReport report = study_trace("external", source, {}, 0x10000, {}, StudyParams{});
     EXPECT_EQ(report.encoding.original_transitions, 0u);  // section skipped
     EXPECT_GT(report.memory.monolithic.total(), 0.0);
 }
 
 TEST(KernelStudy, RejectsEmptyTrace) {
-    EXPECT_THROW(study_trace("empty", MemTrace{}, {}, 0, {}, StudyParams{}), Error);
+    const MemTrace empty;
+    MaterializedSource source(empty);
+    EXPECT_THROW(study_trace("empty", source, {}, 0, {}, StudyParams{}), Error);
 }
 
 TEST(KernelStudy, PlatformChoiceMatters) {

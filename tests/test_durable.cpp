@@ -22,6 +22,7 @@
 #include "support/durable/io_faults.hpp"
 #include "support/durable/retry.hpp"
 #include "support/rng.hpp"
+#include "trace/profile.hpp"
 #include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
@@ -651,23 +652,47 @@ TEST_F(DurableTest, TrippedTokenCancelsACampaign) {
 
 TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
     // stream_accumulate polls the token at chunk boundaries; a pre-tripped
-    // token must surface as CancelledError from the replay entry points.
-    const std::string path = temp_path("cancel.mtsc");
+    // token must surface as CancelledError from a replay entry point on
+    // each of its paths: serial (jobs 1), sharded over the zero-copy chunks
+    // of an uncompressed container, and dealt from the decoded chunks of a
+    // compressed one (jobs 4).
+    constexpr std::uint64_t kAccesses = 200000;  // enough for several tasks
     SyntheticSpec spec;
     spec.kind = SyntheticKind::Stride;
-    spec.base.num_accesses = 20000;
-    SyntheticSource source(spec, 1024);
-    write_trace_stream(path, source);
-
-    CancellationToken::global().request("stop replay");
-    EXPECT_THROW(read_trace_stream(path), CancelledError);
-    CancellationToken::global().reset();
-    EXPECT_EQ(read_trace_stream(path).size(), 20000u);
-    std::remove(path.c_str());
+    spec.base.num_accesses = kAccesses;
+    for (const bool compress : {false, true}) {
+        const std::string path = temp_path(compress ? "cancel_z.mtsc" : "cancel.mtsc");
+        SyntheticSource synthetic(spec, 1024);
+        write_trace_stream(path, synthetic, {.chunk_accesses = 1024, .compress = compress});
+        MmapBinarySource source(path);
+        for (const std::size_t jobs : {1, 4}) {
+            SCOPED_TRACE(std::string(compress ? "compressed" : "raw") + ", jobs " +
+                         std::to_string(jobs));
+            CancellationToken::global().request("stop replay");
+            EXPECT_THROW(BlockProfile::from_source(source, 256, jobs), CancelledError);
+            CancellationToken::global().reset();
+            EXPECT_EQ(BlockProfile::from_source(source, 256, jobs).total_accesses(),
+                      kAccesses);
+        }
+        std::remove(path.c_str());
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Streaming I/O under fault injection
+
+/// Open a ".mtsc" container and replay it into memory.
+MemTrace read_container(const std::string& path) {
+    MmapBinarySource source(path);
+    MemTrace trace;
+    TraceChunk chunk;
+    while (source.next(chunk)) {
+        for (std::size_t i = 0; i < chunk.size(); ++i)
+            trace.add(MemAccess{chunk.addrs[i], chunk.cycles[i], chunk.values[i],
+                                chunk.sizes[i], chunk.kinds[i]});
+    }
+    return trace;
+}
 
 TEST_F(DurableTest, StreamContainerReadsIdenticallyUnderFaults) {
     const std::string path = temp_path("faulted.mtsc");
@@ -676,14 +701,14 @@ TEST_F(DurableTest, StreamContainerReadsIdenticallyUnderFaults) {
     spec.base.num_accesses = 30000;
     SyntheticSource source(spec, 2048);
     write_trace_stream(path, source);
-    const MemTrace clean = read_trace_stream(path);
+    const MemTrace clean = read_container(path);
 
     IoFaultSpec faults;
     faults.enabled = true;
     faults.seed = 13;
     faults.rate = 0.5;  // every other open/block draws a transient failure
     set_io_faults(faults);
-    const MemTrace faulted = read_trace_stream(path);
+    const MemTrace faulted = read_container(path);
     set_io_faults(IoFaultSpec{});
 
     ASSERT_EQ(faulted.size(), clean.size());

@@ -24,6 +24,7 @@
 #include "sim/cpu.hpp"
 #include "support/rng.hpp"
 #include "trace/io.hpp"
+#include "trace/source.hpp"
 #include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 
@@ -358,7 +359,9 @@ TEST_P(TraceIoFuzz, TextReaderSurvivesCorruption) {
     sp.span_bytes = 4096;
     sp.num_accesses = 32;
     sp.seed = GetParam();
-    write_trace_text(ss, uniform_trace(sp));
+    const MemTrace trace = uniform_trace(sp);
+    MaterializedSource source(trace);
+    write_trace_text(ss, source);
     const std::string pristine = ss.str();
 
     for (int trial = 0; trial < 200; ++trial) {
@@ -425,7 +428,9 @@ TEST_P(CodecFuzz, DecodersSurviveCorruptedBlobs) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp), 16);
+    const MemTrace sample = uniform_trace(sp);
+    MaterializedSource source(sample);
+    const DictionaryCodec dict = DictionaryCodec::train(source, 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 150; ++trial) {
@@ -460,7 +465,9 @@ TEST_P(CodecFuzz, DecodersSurvivePureGarbage) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp), 16);
+    const MemTrace sample = uniform_trace(sp);
+    MaterializedSource source(sample);
+    const DictionaryCodec dict = DictionaryCodec::train(source, 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 200; ++trial) {

@@ -279,7 +279,7 @@ TEST(SleepyBanks, NeverSleepingMatchesNominalLeakage) {
     const SleepReport report = evaluate_partition_sleepy(arch, map, source, {}, never);
     // Nominal leakage over the run length, computed independently.
     const SramEnergyModel model(arch.banks()[0].size_bytes);
-    const std::uint64_t run = trace.accesses().back().cycle + 1;
+    const std::uint64_t run = trace.cycles().back() + 1;
     EXPECT_NEAR(report.energy.component("leakage"),
                 model.leakage_energy(run, never.cycle_ns), 1e-9);
     EXPECT_EQ(report.total_wakeups(), 0u);

@@ -447,11 +447,12 @@ TEST_F(StreamFileTest, WriterRechunksArbitrarySourceChunks) {
     expect_traces_equal(drain(reader), trace);
 }
 
-TEST_F(StreamFileTest, ReadTraceStreamMaterializes) {
+TEST_F(StreamFileTest, MemTraceWriterRoundTrips) {
     const MemTrace trace = mixed_trace(3000);
     const std::string file = path("mat.mtsc");
     write_trace_stream(file, trace);
-    expect_traces_equal(read_trace_stream(file), trace);
+    MmapBinarySource source(file);
+    expect_traces_equal(drain(source), trace);
 }
 
 TEST_F(StreamFileTest, EmptyTraceRoundTrips) {
@@ -655,9 +656,9 @@ TEST_F(StreamFuzzTest, HugeHeaderCountRejectedAgainstFileSize) {
 
 TEST_F(StreamFuzzTest, HugeHeaderCountCompressedFailsFastOnFirstBlock) {
     // A compressed container has no fixed per-access payload size, so the
-    // lying count survives the open-time checks; read_trace_stream must
-    // clamp its count-driven reserve and fail on the first block's
-    // access-count mismatch rather than allocate from the header.
+    // lying count survives the open-time checks; the replay must fail on
+    // the first block's access-count mismatch rather than allocate from the
+    // header.
     auto bytes = valid_container("hugecountz.mtsc", 600, 256, /*compress=*/true);
     const std::uint64_t count = std::uint64_t{3} << 24;
     store_le64(bytes, 8, count);
@@ -665,7 +666,9 @@ TEST_F(StreamFuzzTest, HugeHeaderCountCompressedFailsFastOnFirstBlock) {
     store_le64(bytes, 48, count);
     store_le64(bytes, 56, 0);
     spit(file_, bytes);
-    EXPECT_THROW(read_trace_stream(file_), Error);
+    MmapBinarySource source(file_);
+    TraceChunk chunk;
+    EXPECT_THROW(source.next(chunk), Error);
 }
 
 TEST_F(StreamFuzzTest, InvalidKindByteRejectedEvenWithValidChecksum) {
@@ -772,9 +775,10 @@ TEST_F(StreamLookaheadTest, FaultedReadDeliversTheSameChunks) {
 
 TEST_F(StreamFileTest, StreamingTextAndBinaryWritersMatchMaterialized) {
     const MemTrace trace = mixed_trace(2000);
+    MaterializedSource whole(trace);
     MaterializedSource source(trace, 300);
     std::ostringstream text_a, text_b;
-    write_trace_text(text_a, trace);
+    write_trace_text(text_a, whole);
     write_trace_text(text_b, source);
     EXPECT_EQ(text_a.str(), text_b.str());
     // The binary writer: a .mtsc from the source's 300-access chunks is

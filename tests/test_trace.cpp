@@ -225,7 +225,7 @@ TEST(Synthetic, DeterministicBySeed) {
     const MemTrace b = uniform_trace(p);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a.accesses()[i].addr, b.accesses()[i].addr);
+        EXPECT_EQ(a.at(i).addr, b.at(i).addr);
 }
 
 TEST(Synthetic, UniformStaysInSpan) {
@@ -264,9 +264,9 @@ TEST(Synthetic, StridedWrapsAround) {
     sp.base.num_accesses = 600;
     sp.stride = 4;
     const MemTrace t = strided_trace(sp);
-    EXPECT_EQ(t.accesses()[0].addr, 0u);
-    EXPECT_EQ(t.accesses()[255].addr, 1020u);
-    EXPECT_EQ(t.accesses()[256].addr, 0u);  // wrapped
+    EXPECT_EQ(t.at(0).addr, 0u);
+    EXPECT_EQ(t.at(255).addr, 1020u);
+    EXPECT_EQ(t.at(256).addr, 0u);  // wrapped
 }
 
 TEST(Synthetic, TwoPhaseUsesDisjointHalves) {
@@ -274,8 +274,8 @@ TEST(Synthetic, TwoPhaseUsesDisjointHalves) {
     p.span_bytes = 8192;
     p.num_accesses = 1000;
     const MemTrace t = two_phase_trace(p);
-    for (std::size_t i = 0; i < 500; ++i) EXPECT_LT(t.accesses()[i].addr, 4096u);
-    for (std::size_t i = 500; i < 1000; ++i) EXPECT_GE(t.accesses()[i].addr, 4096u);
+    for (std::size_t i = 0; i < 500; ++i) EXPECT_LT(t.at(i).addr, 4096u);
+    for (std::size_t i = 500; i < 1000; ++i) EXPECT_GE(t.at(i).addr, 4096u);
 }
 
 TEST(Synthetic, SmoothWordStreamHasBoundedDeltas) {
@@ -303,18 +303,19 @@ MemTrace sample_trace() {
 void expect_traces_equal(const MemTrace& a, const MemTrace& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.accesses()[i].addr, b.accesses()[i].addr) << i;
-        EXPECT_EQ(a.accesses()[i].cycle, b.accesses()[i].cycle) << i;
-        EXPECT_EQ(a.accesses()[i].value, b.accesses()[i].value) << i;
-        EXPECT_EQ(a.accesses()[i].size, b.accesses()[i].size) << i;
-        EXPECT_EQ(a.accesses()[i].kind, b.accesses()[i].kind) << i;
+        EXPECT_EQ(a.at(i).addr, b.at(i).addr) << i;
+        EXPECT_EQ(a.at(i).cycle, b.at(i).cycle) << i;
+        EXPECT_EQ(a.at(i).value, b.at(i).value) << i;
+        EXPECT_EQ(a.at(i).size, b.at(i).size) << i;
+        EXPECT_EQ(a.at(i).kind, b.at(i).kind) << i;
     }
 }
 
 TEST(TraceIo, TextRoundTrip) {
     const MemTrace t = sample_trace();
+    MaterializedSource source(t);
     std::stringstream ss;
-    write_trace_text(ss, t);
+    write_trace_text(ss, source);
     expect_traces_equal(t, read_trace_text(ss));
 }
 
@@ -322,9 +323,9 @@ TEST(TraceIo, TextAcceptsShortRecordsAndComments) {
     std::stringstream ss("# header\nR 0x100\nW 0x104 2\nR 0x108 4 99  # inline\n");
     const MemTrace t = read_trace_text(ss);
     ASSERT_EQ(t.size(), 3u);
-    EXPECT_EQ(t.accesses()[0].size, 4u);
-    EXPECT_EQ(t.accesses()[1].size, 2u);
-    EXPECT_EQ(t.accesses()[2].cycle, 99u);
+    EXPECT_EQ(t.at(0).size, 4u);
+    EXPECT_EQ(t.at(1).size, 2u);
+    EXPECT_EQ(t.at(2).cycle, 99u);
 }
 
 TEST(TraceIo, TextRejectsMalformedRecords) {
@@ -358,14 +359,15 @@ TEST(TraceIo, TextRejectsValueOutOfRange) {
 
 TEST(TraceIo, FileSaveLoadBothFormats) {
     const MemTrace t = sample_trace();
+    MaterializedSource source(t);
     const std::string text_path = ::testing::TempDir() + "memopt_trace_test.txt";
-    save_trace(text_path, t);
+    save_trace(text_path, source);
     expect_traces_equal(t, load_trace(text_path));
     std::remove(text_path.c_str());
     // The retired row-wise format is refused before anything is written.
     const std::string retired = ::testing::TempDir() + "memopt_trace_test.mtrc";
     std::remove(retired.c_str());
-    EXPECT_THROW(save_trace(retired, t), Error);
+    EXPECT_THROW(save_trace(retired, source), Error);
     EXPECT_FALSE(std::filesystem::exists(retired));
 }
 
@@ -391,7 +393,8 @@ cold:   .space 64
     trace.add_write(cold + 8);
     trace.add_read(0x30000);  // outside the data image -> stack/anon
 
-    const auto traffic = symbolize_trace(prog, trace);
+    MaterializedSource source(trace);
+    const auto traffic = symbolize_trace(prog, source);
     ASSERT_EQ(traffic.size(), 3u);
     EXPECT_EQ(traffic[0].name, "hot");
     EXPECT_EQ(traffic[0].reads, 2u);
@@ -423,7 +426,8 @@ c:      .word 0
     MemTrace trace;
     for (int i = 0; i < 3; ++i) trace.add_read(prog.symbol("b"));
     trace.add_read(prog.symbol("a"));
-    const auto traffic = symbolize_trace(prog, trace);
+    MaterializedSource source(trace);
+    const auto traffic = symbolize_trace(prog, source);
     ASSERT_EQ(traffic.size(), 2u);  // c has no traffic
     EXPECT_EQ(traffic[0].name, "b");
     EXPECT_EQ(traffic[1].name, "a");
@@ -432,18 +436,27 @@ c:      .word 0
 TEST(Symbolize, AccountsEveryAccessExactlyOnce) {
     const auto prog = assemble(kernel_by_name("histogram").source);
     const RunResult run = Cpu(CpuConfig{}).run(prog);
-    const auto traffic = symbolize_trace(prog, run.data_trace);
+    // Chunks smaller than the trace: the attribution spans chunk boundaries.
+    MaterializedSource source(run.data_trace, 100);
+    const auto traffic = symbolize_trace(prog, source);
     std::uint64_t total = 0;
     for (const SymbolTraffic& t : traffic) total += t.total();
     EXPECT_EQ(total, run.data_trace.size());
+    // A second call replays the source from the start.
+    const auto again = symbolize_trace(prog, source);
+    ASSERT_EQ(again.size(), traffic.size());
+    for (std::size_t i = 0; i < traffic.size(); ++i) {
+        EXPECT_EQ(again[i].name, traffic[i].name);
+        EXPECT_EQ(again[i].total(), traffic[i].total());
+    }
 }
 
 // -------------------------------------------------- SoA column layout ----
 
-// The columnar storage and the materializing AccessView must describe the
-// same trace: every row assembled from the column spans equals the
-// MemAccess the view (the old AoS interface) hands out.
-TEST(SoaLayout, ColumnsAgreeWithAccessView) {
+// The columnar storage and the record accessor must describe the same
+// trace: every row assembled from the column spans equals the MemAccess
+// that at(i) materializes.
+TEST(SoaLayout, ColumnsAgreeWithAt) {
     const MemTrace t = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
                                       .write_fraction = 0.4, .seed = 9});
     const auto addrs = t.addrs();
@@ -457,13 +470,12 @@ TEST(SoaLayout, ColumnsAgreeWithAccessView) {
     ASSERT_EQ(sizes.size(), t.size());
     ASSERT_EQ(kinds.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
-        const MemAccess a = t.accesses()[i];
+        const MemAccess a = t.at(i);
         EXPECT_EQ(a.addr, addrs[i]) << i;
         EXPECT_EQ(a.cycle, cycles[i]) << i;
         EXPECT_EQ(a.value, values[i]) << i;
         EXPECT_EQ(a.size, sizes[i]) << i;
         EXPECT_EQ(a.kind, kinds[i]) << i;
-        EXPECT_EQ(a.addr, t.at(i).addr) << i;
     }
 }
 
@@ -474,11 +486,13 @@ TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
     const MemTrace soa = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
                                         .write_fraction = 0.4, .seed = 10});
     MemTrace aos;
-    for (const MemAccess& a : soa.accesses()) aos.add(a);
+    for (std::size_t i = 0; i < soa.size(); ++i) aos.add(soa.at(i));
 
+    MaterializedSource soa_source(soa);
+    MaterializedSource aos_source(aos);
     std::stringstream text_soa, text_aos;
-    write_trace_text(text_soa, soa);
-    write_trace_text(text_aos, aos);
+    write_trace_text(text_soa, soa_source);
+    write_trace_text(text_aos, aos_source);
     EXPECT_EQ(text_soa.str(), text_aos.str());
     expect_traces_equal(soa, read_trace_text(text_soa));
 }
