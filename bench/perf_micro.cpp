@@ -23,6 +23,7 @@
 #include "encoding/search.hpp"
 #include "partition/solver.hpp"
 #include "sim/kernels.hpp"
+#include "support/parallel.hpp"
 #include "tools/lint/lint.hpp"
 #include "trace/source.hpp"
 #include "trace/stream_file.hpp"
@@ -47,7 +48,12 @@ void BM_IssSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_IssSimulation);
 
-void BM_PartitionDp(benchmark::State& state) {
+// The exact DP over range(0) blocks at `jobs` library threads (0: the
+// default job count). 128 to 1,024 blocks run at one job: their checked-in
+// baselines were recorded on a one-core host, and one job keeps them
+// comparable to those on any host. 4,096 blocks, the size affinity-hotspot
+// solves at, runs its rows in parallel at the default job count.
+void partition_dp(benchmark::State& state, std::size_t jobs) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({
         .base = {.span_bytes = blocks * 256, .num_accesses = 50000, .write_fraction = 0.3,
@@ -58,12 +64,17 @@ void BM_PartitionDp(benchmark::State& state) {
     });
     MaterializedSource source(trace);
     const BlockProfile profile = BlockProfile::from_source(source, 256);
+    set_default_jobs(jobs);
     for (auto _ : state) {
         const auto sol = solve_partition_optimal(profile, {8}, {});
         benchmark::DoNotOptimize(sol.energy.total());
     }
+    set_default_jobs(0);
 }
+void BM_PartitionDp(benchmark::State& state) { partition_dp(state, 1); }
 BENCHMARK(BM_PartitionDp)->Arg(128)->Arg(512)->Arg(1024);
+void BM_PartitionDpDefaultJobs(benchmark::State& state) { partition_dp(state, 0); }
+BENCHMARK(BM_PartitionDpDefaultJobs)->Name("BM_PartitionDp")->Arg(4096);
 
 void BM_PartitionGreedy(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));

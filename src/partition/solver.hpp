@@ -32,8 +32,15 @@ struct PartitionSolution {
     EnergyBreakdown energy;
 };
 
+/// The exact DP solves a row (one bank count) with fewer candidate cells
+/// than this serially on the calling thread; larger rows are split by
+/// column over parallel_for. Results are bit-identical either way.
+inline constexpr std::size_t kPartitionDpSerialRowCells = std::size_t{1} << 15;
+
 /// Exact DP solver. Considers every bank count in [1, max_banks] and
-/// returns the globally optimal contiguous partition.
+/// returns the globally optimal contiguous partition. The total read and
+/// total write counts must each stay below 2^53 (they are held as exact
+/// doubles); larger profiles throw memopt::Error.
 PartitionSolution solve_partition_optimal(const BlockProfile& profile,
                                           const PartitionConstraints& constraints,
                                           const PartitionEnergyParams& params);

@@ -286,50 +286,52 @@ void AffinityAccumulator::merge(AffinityAccumulator&& other) {
 }
 
 AffinityMatrix AffinityAccumulator::finalize_triangle() {
-    // Count each CSR row, then fill the rows in order. When row a is
-    // reached, the rows before it have already scattered its neighbours
-    // below the diagonal into it; its triangle row (blocks b >= a) follows
-    // them, and its off-diagonal entries are scattered on to rows b. Every
-    // row thus fills in ascending column order. Both triangle scans are
-    // branch-free: the fill compacts the row into scratch, writing each
-    // entry and moving past it only when it is non-zero.
+    // One branch-free scan of the triangle compacts each row's non-zero
+    // columns (blocks b >= a, ascending) into `upper`; everything after it
+    // walks only those entries, so it is bounded by the pairs. The rows are
+    // then filled in order. When row a is reached, the rows before it have
+    // already scattered its neighbours below the diagonal into it; its
+    // compacted triangle row follows them, and its off-diagonal entries are
+    // scattered on to rows b. Every row thus fills in ascending column order.
     const std::size_t n = n_;
     const std::vector<double> tri = std::exchange(tri_, {});
     auto row_of = [&](std::size_t a) { return tri.data() + (a * n - a * (a + 1) / 2); };
+    std::vector<std::uint32_t> upper;
+    std::vector<std::size_t> upper_start(n + 1, 0);
+    std::size_t len = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+        // Room for the whole row; growth doubles, so the buffer stays
+        // within twice the pairs plus one row.
+        if (upper.size() < len + (n - a)) upper.resize(std::max(2 * upper.size(), len + (n - a)));
+        const double* row = row_of(a);
+        for (std::size_t b = a; b < n; ++b) {
+            upper[len] = static_cast<std::uint32_t>(b);
+            len += static_cast<std::size_t>(row[b] != 0.0);
+        }
+        upper_start[a + 1] = len;
+    }
     AffinityMatrix m(n);
     m.row_ptr_.assign(n + 1, 0);
     std::size_t* count = m.row_ptr_.data() + 1;
     for (std::size_t a = 0; a < n; ++a) {
-        const double* row = row_of(a);
-        auto own = static_cast<std::size_t>(row[a] != 0.0);
-        for (std::size_t b = a + 1; b < n; ++b) {
-            const auto nonzero = static_cast<std::size_t>(row[b] != 0.0);
-            own += nonzero;
-            count[b] += nonzero;
-        }
-        count[a] += own;
+        count[a] += upper_start[a + 1] - upper_start[a];
+        for (std::size_t e = upper_start[a]; e < upper_start[a + 1]; ++e)
+            if (upper[e] != a) ++count[upper[e]];
     }
     for (std::size_t a = 0; a < n; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
     m.col_.resize(m.row_ptr_[n]);
     m.val_.resize(m.row_ptr_[n]);
     std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
-    std::vector<std::uint32_t> cols(n);
-    std::vector<double> vals(n);
     for (std::size_t a = 0; a < n; ++a) {
         const double* row = row_of(a);
-        std::size_t len = 0;
-        for (std::size_t b = a; b < n; ++b) {
-            cols[len] = static_cast<std::uint32_t>(b);
-            vals[len] = row[b];
-            len += static_cast<std::size_t>(row[b] != 0.0);
-        }
-        std::copy_n(cols.begin(), len, m.col_.begin() + static_cast<std::ptrdiff_t>(cursor[a]));
-        std::copy_n(vals.begin(), len, m.val_.begin() + static_cast<std::ptrdiff_t>(cursor[a]));
-        for (std::size_t i = 0; i < len; ++i) {
-            const std::size_t b = cols[i];
+        for (std::size_t e = upper_start[a]; e < upper_start[a + 1]; ++e) {
+            const std::size_t b = upper[e];
+            m.col_[cursor[a]] = upper[e];
+            m.val_[cursor[a]] = row[b];
+            ++cursor[a];
             if (b == a) continue;
             m.col_[cursor[b]] = static_cast<std::uint32_t>(a);
-            m.val_[cursor[b]] = vals[i];
+            m.val_[cursor[b]] = row[b];
             ++cursor[b];
         }
     }

@@ -19,6 +19,11 @@
 // length of its encode(), and the compressed-memory simulation prices a
 // write-back identically from either; and the set-sharded coherent replay
 // reproduces the serial loop (default_jobs() == 1) at jobs 2, 4 and 8.
+//
+// The exact partition DP solves each row's columns over parallel grains
+// with a 4-lane argmin on double prefix counts; its reference is the
+// serial scan over integer prefixes it replaced, and splits and energy
+// totals must match it exactly at jobs 1, 2 and 4.
 
 #include <gtest/gtest.h>
 
@@ -45,6 +50,7 @@
 #include "partition/evaluate.hpp"
 #include "partition/hybrid.hpp"
 #include "partition/sleep.hpp"
+#include "partition/solver.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -1029,6 +1035,228 @@ TEST_F(DifferentialCoherentReplay, SourceErrorSurfacesAtAnyJobCount) {
             }
         }
     }
+}
+
+// ------------------------------------------------ exact partition DP ----
+
+/// The exact partition DP as it was before its rows went parallel: integer
+/// prefix counts converted to double per candidate, and one serial
+/// ascending `<` scan per column. Returns the chosen split points.
+std::vector<std::size_t> reference_dp_splits(const BlockProfile& profile,
+                                             std::size_t max_banks,
+                                             const PartitionEnergyParams& params) {
+    struct Entry {
+        double read_pj;
+        double write_pj;
+        double leak_pj;
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::size_t n = profile.num_blocks();
+    const std::size_t kmax = std::min(max_banks, n);
+    std::vector<std::uint64_t> pre_reads(n + 1, 0);
+    std::vector<std::uint64_t> pre_writes(n + 1, 0);
+    for (std::size_t b = 0; b < n; ++b) {
+        pre_reads[b + 1] = pre_reads[b] + profile.counts(b).reads;
+        pre_writes[b + 1] = pre_writes[b] + profile.counts(b).writes;
+    }
+    std::vector<Entry> len_entries(n + 1);
+    for (std::size_t len = 1; len <= n; ++len) {
+        const SramEnergyModel model(
+            MemoryArchitecture::capacity_for(profile.block_size(), len, params.min_bank_bytes), 32,
+            params.sram);
+        const double leak = params.runtime_cycles > 0
+                                ? model.leakage_energy(params.runtime_cycles, params.cycle_ns)
+                                : 0.0;
+        len_entries[len] = Entry{model.read_energy(), model.write_energy(), leak};
+    }
+    const auto cost = [&](std::size_t i, std::size_t j) {
+        const Entry& e = len_entries[j - i];
+        const auto reads = static_cast<double>(pre_reads[j] - pre_reads[i]);
+        const auto writes = static_cast<double>(pre_writes[j] - pre_writes[i]);
+        return reads * e.read_pj + writes * e.write_pj + e.leak_pj;
+    };
+    const auto total_accesses = static_cast<double>(pre_reads[n] + pre_writes[n]);
+
+    std::vector<double> prev_row(n + 1, kInf);
+    std::vector<double> cur_row(n + 1, kInf);
+    std::vector<std::size_t> parent((kmax + 1) * (n + 1), 0);
+    std::vector<double> dp_at_n(kmax + 1, kInf);
+    prev_row[0] = 0.0;
+    for (std::size_t k = 1; k <= kmax; ++k) {
+        std::size_t* const par = parent.data() + k * (n + 1);
+        if (k == 1) {
+            for (std::size_t j = 1; j <= n; ++j) {
+                cur_row[j] = prev_row[0] + cost(0, j);
+                par[j] = 0;
+            }
+        } else {
+            for (std::size_t j = k; j <= n; ++j) {
+                const std::uint64_t reads_j = pre_reads[j];
+                const std::uint64_t writes_j = pre_writes[j];
+                double best = kInf;
+                std::size_t best_i = 0;
+                for (std::size_t i = k - 1; i < j; ++i) {
+                    const Entry& e = len_entries[j - i];
+                    const auto reads = static_cast<double>(reads_j - pre_reads[i]);
+                    const auto writes = static_cast<double>(writes_j - pre_writes[i]);
+                    const double cand =
+                        prev_row[i] + (reads * e.read_pj + writes * e.write_pj + e.leak_pj);
+                    if (cand < best) {
+                        best = cand;
+                        best_i = i;
+                    }
+                }
+                cur_row[j] = best;
+                par[j] = best_i;
+            }
+        }
+        dp_at_n[k] = cur_row[n];
+        std::swap(prev_row, cur_row);
+        std::fill(cur_row.begin(), cur_row.end(), kInf);
+    }
+
+    double best_total = kInf;
+    std::size_t best_k = 1;
+    for (std::size_t k = 1; k <= kmax; ++k) {
+        if (dp_at_n[k] == kInf) continue;
+        const double total = dp_at_n[k] + total_accesses * bank_select_energy(k, params.sram);
+        if (total < best_total) {
+            best_total = total;
+            best_k = k;
+        }
+    }
+    std::vector<std::size_t> splits;
+    std::size_t j = n;
+    for (std::size_t k = best_k; k >= 1; --k) {
+        const std::size_t i = parent[k * (n + 1) + j];
+        if (i != 0) splits.push_back(i);
+        j = i;
+    }
+    std::reverse(splits.begin(), splits.end());
+    return splits;
+}
+
+std::vector<std::size_t> splits_of(const MemoryArchitecture& arch) {
+    std::vector<std::size_t> splits;
+    for (std::size_t b = 1; b < arch.num_banks(); ++b) splits.push_back(arch.banks()[b].first_block);
+    return splits;
+}
+
+struct DpProfile {
+    std::string name;
+    BlockProfile profile;
+};
+
+/// Seeded random, tie-heavy (all equal, long zero runs, all zero) and
+/// hotspot profiles over `blocks` blocks.
+std::vector<DpProfile> dp_profiles(std::size_t blocks, std::uint64_t seed) {
+    std::vector<DpProfile> out;
+    Rng rng(seed);
+    BlockProfile random(256, blocks);
+    for (std::size_t b = 0; b < blocks; ++b)
+        random.add_counts(b, rng.next_below(1000), rng.next_below(500));
+    out.push_back({"random", std::move(random)});
+
+    BlockProfile equal(256, blocks);
+    for (std::size_t b = 0; b < blocks; ++b) equal.add_counts(b, 7, 3);
+    out.push_back({"all-equal", std::move(equal)});
+
+    BlockProfile zero_runs(256, blocks);
+    for (std::size_t b = 0; b < blocks; b += 97) zero_runs.add_counts(b, 40, 10);
+    out.push_back({"zero-runs", std::move(zero_runs)});
+
+    out.push_back({"all-zero", BlockProfile(256, blocks)});
+
+    BlockProfile hotspot(256, blocks);
+    for (std::size_t b = 0; b < blocks; ++b) hotspot.add_counts(b, rng.next_below(4), rng.next_below(2));
+    for (int spot = 0; spot < 8; ++spot) {
+        const std::size_t first = rng.next_below(blocks);
+        for (std::size_t b = first; b < std::min(blocks, first + 4); ++b)
+            hotspot.add_counts(b, 90000 + rng.next_below(20000), 30000 + rng.next_below(10000));
+    }
+    out.push_back({"hotspot", std::move(hotspot)});
+    return out;
+}
+
+/// Without leakage, and with leakage (per-length ties on zero-count banks
+/// then cost the leakage of the bank's capacity).
+std::vector<PartitionEnergyParams> dp_params() {
+    PartitionEnergyParams leaky;
+    leaky.runtime_cycles = 1'000'000;
+    return {PartitionEnergyParams{}, leaky};
+}
+
+/// Checks solve_partition_optimal against the reference at jobs 1, 2, 4:
+/// equal splits and a bit-equal energy total.
+void check_dp_against_reference(const BlockProfile& profile, std::size_t max_banks,
+                                const PartitionEnergyParams& params) {
+    const std::vector<std::size_t> want = reference_dp_splits(profile, max_banks, params);
+    const MemoryArchitecture arch = MemoryArchitecture::from_splits(
+        profile.block_size(), profile.num_blocks(), want, params.min_bank_bytes);
+    const double want_total = evaluate_partition(arch, profile, params).total();
+    for (const std::size_t jobs : {1, 2, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        set_default_jobs(jobs);
+        const PartitionSolution sol = solve_partition_optimal(profile, {max_banks}, params);
+        EXPECT_EQ(splits_of(sol.arch), want);
+        EXPECT_EQ(sol.energy.total(), want_total);
+    }
+}
+
+/// Smallest block count whose row k = 2 runs in parallel while row k = 3
+/// stays serial, so one solve crosses the threshold.
+std::size_t threshold_straddling_blocks() {
+    std::size_t columns = 1;
+    while (columns * (columns + 1) / 2 < kPartitionDpSerialRowCells) ++columns;
+    return columns + 1;  // row 2 has n - 1 columns
+}
+
+/// Restores the process-wide job count however the test leaves.
+class DifferentialPartitionDp : public ::testing::Test {
+protected:
+    void TearDown() override { set_default_jobs(0); }
+};
+
+// Sizes around the 4-candidate lanes (1..5, 63..65), both sides of the
+// serial threshold within one solve, and 1,000 blocks, whose 125 column
+// chunks leave a remainder over 8 and 16 grains. Every column j of row k
+// scans j - k + 1 candidates, so all lane remainders occur at every size.
+TEST_F(DifferentialPartitionDp, MatchesSerialReference) {
+    std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 63, 64, 65, 257, 1000, 1024};
+    sizes.push_back(threshold_straddling_blocks());
+    for (const std::size_t n : sizes) {
+        for (const DpProfile& p : dp_profiles(n, 1000 + n)) {
+            for (const PartitionEnergyParams& params : dp_params()) {
+                for (std::size_t max_banks = 1; max_banks <= 8; ++max_banks) {
+                    SCOPED_TRACE(p.name + ", " + std::to_string(n) + " blocks, max_banks " +
+                                 std::to_string(max_banks) + ", leakage cycles " +
+                                 std::to_string(params.runtime_cycles));
+                    check_dp_against_reference(p.profile, max_banks, params);
+                }
+            }
+        }
+    }
+}
+
+// The size affinity-hotspot solves at; a subset of bank budgets keeps the
+// O(K·N²) reference affordable.
+TEST_F(DifferentialPartitionDp, MatchesSerialReferenceAt4096Blocks) {
+    for (const DpProfile& p : dp_profiles(4096, 4096)) {
+        if (p.name == "all-zero") continue;
+        for (const std::size_t max_banks : {2, 5, 8}) {
+            SCOPED_TRACE(p.name + ", max_banks " + std::to_string(max_banks));
+            check_dp_against_reference(p.profile, max_banks, PartitionEnergyParams{});
+        }
+    }
+}
+
+TEST_F(DifferentialPartitionDp, CountsMustStayExactAsDoubles) {
+    BlockProfile profile(256, 4);
+    profile.add_counts(1, std::uint64_t{1} << 53, 0);
+    EXPECT_THROW(solve_partition_optimal(profile, {4}, {}), Error);
+    BlockProfile below(256, 4);
+    below.add_counts(1, (std::uint64_t{1} << 53) - 1, 0);
+    EXPECT_NO_THROW(solve_partition_optimal(below, {4}, {}));
 }
 
 }  // namespace
